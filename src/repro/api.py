@@ -83,12 +83,11 @@ class CompRDL:
         self.incremental = IncrementalScheduler(self.checker, self.registry,
                                                 self.db)
         # methods (re)defined or annotated after the last `mark_pristine()`:
-        # a fresh rebuild of this universe would not see them, so the
-        # parallel cold check keeps them in-process (see check_all), and
-        # the warm session engine decides from them whether a delta can be
-        # bounded.  post_build_loads records the program sources that
-        # caused them — the "method definition records" a session delta
-        # replays against live worker replicas.
+        # a fresh rebuild of this universe would not see them, so the warm
+        # session engine decides from them whether a delta can be bounded
+        # (warm_block_reason).  post_build_loads records the program
+        # sources that caused them — the "method definition records" a
+        # session delta replays against live worker replicas.
         self.post_build_methods: set = set()
         self.post_build_loads: list[str] = []
         self.post_build_load_keys: set = set()
@@ -141,8 +140,7 @@ class CompRDL:
         loaded so far is part of this universe's canonical build recipe
         (``SubjectApp.build`` calls this after loading the app source).
         Methods loaded *afterwards* diverge from a fresh rebuild, which the
-        parallel cold check uses to keep them in-process and the warm
-        session engine replays (new definitions) or refuses to bound
+        warm session engine replays (new definitions) or refuses to bound
         (redefinitions)."""
         self.post_build_methods.clear()
         self.post_build_loads = []
@@ -201,20 +199,30 @@ class CompRDL:
         after schema migrations) reuse every verdict whose recorded
         dependencies are untouched and re-check only the rest.
 
-        With ``workers > 1`` the methods are sharded across that many
-        spawn-mode worker processes (a *parallel cold check*): each worker
-        rebuilds the pristine subject app for its labels, so every label
-        must name a :mod:`repro.apps` subject app.  The merged report is
-        verdict-for-verdict identical to a serial run, worker-recorded
-        dependencies are fed back into the incremental engine, and any
-        schema change this universe made since its build conservatively
-        re-dirties the methods it could affect.
+        With ``workers > 1`` the pending methods are checked on up to that
+        many warm session workers, exactly like ``recheck_dirty(workers=N)``:
+        a cold check is a session attach with an empty delta.  Every label
+        must name a :mod:`repro.apps` subject app.  The universe's warm
+        engine is used when its width matches; otherwise a transient one
+        runs the round and is closed before returning.  Worker verdicts and
+        dependencies are fed back into the incremental engine, the report
+        is verdict-for-verdict identical to a serial run, and deltas that
+        cannot be bounded fall back to the serial path.
         """
         if workers <= 1:
             return self.incremental.check_all(labels)
-        from repro.parallel import check_universe_parallel
-
-        return check_universe_parallel(self, labels, workers)
+        # one span over the whole call, the transient fleet's shutdown
+        # included, so a traced run attributes all of it to the fleet
+        with obs.span("fleet.round"):
+            engine = self._warm_engine
+            transient = engine is None or engine.workers != workers
+            if transient:
+                engine = self._new_engine(workers)
+            try:
+                return engine.check(self, labels)
+            finally:
+                if transient:
+                    engine.close()
 
     def recheck_dirty(self, workers: int = 1) -> TypeErrorReport:
         """Re-verify only methods dirtied by schema changes since the last
@@ -233,29 +241,33 @@ class CompRDL:
         """
         if workers <= 1:
             return self.incremental.recheck_dirty()
-        from repro.parallel import ParallelCheckEngine
-
         engine = self._warm_engine
         if engine is None or engine.workers != workers:
             self.shutdown_warm()
-            engine = ParallelCheckEngine(
-                workers=workers,
-                stats=self.incremental_stats,
-                backend=self.db.backend_name,
-                deadline_s=self.warm_deadline_s,
-            )
-            self._warm_engine = engine
+            engine = self._warm_engine = self._new_engine(workers)
         return engine.recheck_dirty(self)
+
+    def _new_engine(self, workers: int):
+        from repro.parallel import ParallelCheckEngine
+
+        return ParallelCheckEngine(
+            workers=workers,
+            stats=self.incremental_stats,
+            backend=self.db.backend_name,
+            deadline_s=self.warm_deadline_s,
+        )
 
     @property
     def warm_engine(self):
         """The warm session engine behind ``recheck_dirty(workers=N)``
-        (None until first used); exposes diagnostics like
+        (None until first used; ``check_all(workers=N)`` uses it too but
+        never creates it); exposes diagnostics like
         ``last_warm_run``."""
         return self._warm_engine
 
     def adopt_warm_engine(self, engine) -> None:
-        """Use ``engine``'s worker fleet for ``recheck_dirty(workers=N)``.
+        """Use ``engine``'s worker fleet for ``check_all(workers=N)`` and
+        ``recheck_dirty(workers=N)``.
 
         A fleet that already ran cold rounds (or was primed) holds pristine
         replicas in its workers' warm catalogs, so the first session attach
@@ -335,7 +347,7 @@ class CompRDL:
         Answers from the provenance ledger (enable with
         ``CompRDL(provenance=True)``, ``obs.provenance.enable()``, or
         ``REPRO_PROVENANCE=1``): how the verdict was produced (fresh
-        in-process check, cold-fleet worker, warm-session worker — with
+        in-process check or warm-session worker — with
         pid / shard / session id), the dependency footprint it was recorded
         with, the schema generation it was checked at and whether it has
         gone stale since, the journal events that dirtied it, comp-cache

@@ -2,13 +2,13 @@
 
 A comp-type verdict is *derived* — from the schema state, the type-level
 evaluations it triggered, and the method's recorded dependency footprint —
-and the repo now has four production paths (serial, cold fleet, warm
-sessions, on two storage backends) whose parity is asserted but was never
-inspectable.  This module records, for every verdict a universe produces:
+and the repo has two production paths (serial and warm sessions, on two
+storage backends) whose parity is asserted but was never inspectable.
+This module records, for every verdict a universe produces:
 
-* **how** it was produced — a fresh in-process evaluation, a cold-fleet
-  worker shard, or a warm-session worker (with worker pid, shard index, and
-  session id), plus how often the cached verdict was served since;
+* **how** it was produced — a fresh in-process evaluation or a
+  warm-session worker (with worker pid, shard index, and session id), plus
+  how often the cached verdict was served since;
 * **from what** — the dependency footprint (:class:`MethodDeps` tables,
   columns, comp codes) and the schema generation it was checked at;
 * **what changed it** — which :class:`SchemaJournal` events dirtied it
@@ -367,7 +367,7 @@ def parity_view(info: dict) -> dict:
 
     Who produced a verdict (pid, shard, session), how warm its comp cache
     happened to be, and how long it took are legitimately different across
-    serial / cold-fleet / warm-session runs; everything *about the verdict
+    serial / warm-session runs; everything *about the verdict
     itself* — errors, footprint, generation, staleness, flip structure —
     must be identical, and the parity tests compare exactly this view.
     """
@@ -395,7 +395,6 @@ def render_explain(info: dict) -> str:
     deps = info["dependencies"]
 
     produced = {"fresh": "fresh in-process eval",
-                "fleet": "cold-fleet worker",
                 "warm": "warm-session worker"}.get(
                     producer.get("kind"), producer.get("kind", "?"))
     where = [f"pid {producer['pid']}"] if "pid" in producer else []

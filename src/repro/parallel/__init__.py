@@ -8,16 +8,17 @@ verdicts back into a single report that is verdict-for-verdict identical to
 a serial run, back-feeding dependency footprints into the incremental
 engine (:mod:`repro.parallel.merge`).
 
-Beyond the one-shot cold fleet, the engine hosts **warm sessions**
-(:mod:`repro.parallel.sessions`): session workers attach live label
-universes once, then receive schema-journal deltas and post-build load
-records (:class:`SessionDelta`) and re-check only dirty methods
-(``CompRDL.recheck_dirty(workers=N)``) — no rebuilds between rounds.
+A live universe is checked off-process through **warm sessions**
+(:mod:`repro.parallel.sessions`): session workers attach replicas of its
+subject app once, then receive schema-journal deltas and post-build load
+records (:class:`SessionDelta`) and check only pending methods — no
+rebuilds between rounds.  ``CompRDL.check_all(labels, workers=N)`` and
+``CompRDL.recheck_dirty(workers=N)`` are both such rounds; a cold check is
+an attach with an empty delta.
 
 Use :class:`ParallelCheckEngine` for a persistent fleet,
-:func:`check_fleet` for one-shot checks,
-``CompRDL.check_all(labels, workers=N)`` to parallel-check one universe,
-or ``CompRDL.recheck_dirty(workers=N)`` for warm post-migration rechecks.
+:func:`check_fleet` for one-shot checks of subject-app labels, or the two
+``CompRDL`` calls above for a live universe.
 """
 
 from repro.parallel.engine import (
@@ -25,7 +26,6 @@ from repro.parallel.engine import (
     ParallelRun,
     WarmSyncError,
     check_fleet,
-    check_universe_parallel,
     specs_for_labels,
 )
 from repro.parallel.merge import (
@@ -78,7 +78,6 @@ __all__ = [
     "WarmSyncError",
     "WorkerLost",
     "check_fleet",
-    "check_universe_parallel",
     "feed_incremental",
     "merge_report",
     "method_cost",

@@ -10,30 +10,25 @@ Entry points sharing the planner/worker/merge machinery:
   (EWMA), and observed shard *imbalance* tunes the planner's split
   threshold, so later plans balance on measurements instead of heuristics.
 * the engine's **warm session** methods (:meth:`ParallelCheckEngine.attach`
-  / :meth:`migrate` / :meth:`recheck_dirty`) — instead of rebuilding apps
-  every round, session workers keep live label universes, receive
-  schema-journal deltas plus post-build load records, and re-check only
-  the dirty methods; the merged report is verdict-for-verdict identical to
-  the serial incremental path.  Deltas that cannot be bounded (a
-  post-build method *re*definition — a redefined type-level helper can
-  change any verdict, which no dependency footprint bounds — or a journal
-  that has forgotten the needed events) fall back to the serial
-  incremental path, mirroring the cold fleet's fallback rule.
-* :func:`check_universe_parallel` — the ``CompRDL.check_all(labels,
-  workers=N)`` backend: shards *this universe's* methods, fans out, and
-  back-feeds the universe's incremental scheduler so ``recheck_dirty()``
-  behaves exactly as after a serial cold check.  Schema mutations the
-  parent made after its build are replayed conservatively: any method
-  whose footprint touches a table changed since the worker's (pristine)
-  generation is re-marked dirty.
+  / :meth:`migrate` / :meth:`check` / :meth:`recheck_dirty`) — a live
+  universe's checks: session workers keep replicas of its subject app,
+  receive schema-journal deltas plus post-build load records, and check
+  only the pending methods; the merged report is verdict-for-verdict
+  identical to the serial incremental path.  ``CompRDL.check_all(labels,
+  workers=N)`` is :meth:`check`: a cold check is a session attach with an
+  empty delta.  Deltas that cannot be bounded (a post-build method
+  *re*definition — a redefined type-level helper can change any verdict,
+  which no dependency footprint bounds — or a journal that has forgotten
+  the needed events) fall back to the serial incremental path.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+# not used by the engine itself: kept as a module attribute because the
+# benchmark's traced runs (perfbench/ledger.py) patch it
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 from repro.incremental.stats import IncrementalStats
@@ -148,7 +143,6 @@ class ParallelCheckEngine:
         self.backend = backend
         self.stats = stats or IncrementalStats()
         self.build_costs: dict[str, float] = {}
-        self._pool: ProcessPoolExecutor | None = None
         self._catalog: dict[str, object] = {}  # label -> CompRDL (enumeration)
         # observed-imbalance feedback into the planner's split threshold
         self.split_bias: float = 1.0
@@ -163,14 +157,6 @@ class ParallelCheckEngine:
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
-    def pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._pool
-
     def warm_up(self, labels=()) -> float:
         """Spin up every worker (interpreter start + repro imports) now, so
         checking rounds measure checking.  Each worker pre-builds ``labels``
@@ -232,9 +218,6 @@ class ParallelCheckEngine:
         return max(DEADLINE_S[0], self.deadline_s or 0.0)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._session_pool is not None:
             self._session_pool.close()
             self._session_pool = None
@@ -450,10 +433,56 @@ class ParallelCheckEngine:
         # follow the scheduler's label list (it may have grown since
         # attach): the warm report must cover exactly what the serial
         # incremental report would
-        labels = list(scheduler.labels)
+        return self._round(rdl, list(scheduler.labels),
+                           scheduler.recheck_dirty)
+
+    def check(self, rdl, labels) -> TypeErrorReport:
+        """Check ``labels`` of a live universe across warm session workers.
+
+        The ``CompRDL.check_all(labels, workers=N)`` backend: the
+        :meth:`recheck_dirty` round scoped to ``labels``.  On a fresh
+        universe that is a session attach with an empty delta, then one
+        round over every method.  The report covers exactly ``labels``,
+        verdict-for-verdict identical to ``IncrementalScheduler.check_all``,
+        which is also the fallback.  Raises ``KeyError`` for a label that
+        names no subject app.
+
+        On an engine with no pool yet, every worker started pays a full
+        replica build, so the pool is sized by the plan the build costs
+        allow (often one worker), never above ``workers``.
+        """
+        from repro.apps import app_for_label
+
+        labels = _normalize_labels(labels)
+        for label in labels:
+            app_for_label(label)  # raises KeyError early for unknown labels
+        scheduler = rdl.incremental
+        for label in labels:
+            if label not in scheduler.labels:
+                scheduler.labels.append(label)
+        if self._session_pool is None:
+            cold_plan = plan_shards(
+                specs_for_labels(labels, lambda _label: rdl.registry),
+                self.workers,
+                registry_for_label=lambda _label: rdl.registry,
+                stats=scheduler.stats,
+                build_costs=self.build_costs,
+                split_bias=self.split_bias,
+                static_costs=_static_costs_of(scheduler),
+            )
+            self._session_pool = SessionPool(
+                max(1, len(cold_plan)), deadline_s=self.deadline_s)
+        return self._round(rdl, labels, lambda: scheduler.check_all(labels))
+
+    def _round(self, rdl, labels, serial) -> TypeErrorReport:
+        """One warm round over ``labels``: sync the session, shard the
+        pending methods, adopt their verdicts and resolve the report in
+        serial order.  ``serial`` is the in-process equivalent, run instead
+        whenever the delta cannot be bounded."""
+        scheduler = rdl.incremental
         reason = self.warm_block_reason(rdl, labels)
         if reason is not None:
-            return self._fallback_serial(scheduler, reason)
+            return self._fallback_serial(scheduler, reason, serial)
 
         round_start = time.perf_counter()
         serial_keys = scheduler.keys_for(labels)
@@ -484,7 +513,8 @@ class ParallelCheckEngine:
             self._abort_session()
             round_span.set("fallback", True)
             round_span.__exit__(None, None, None)
-            return self._fallback_serial(scheduler, f"session sync failed: {exc}")
+            return self._fallback_serial(
+                scheduler, f"session sync failed: {exc}", serial)
         sync_s = time.perf_counter() - sync_start
 
         plan_start = time.perf_counter()
@@ -656,12 +686,13 @@ class ParallelCheckEngine:
                 return False
         return True
 
-    def _fallback_serial(self, scheduler, reason: str) -> TypeErrorReport:
+    def _fallback_serial(self, scheduler, reason: str,
+                         serial) -> TypeErrorReport:
         extra = scheduler.stats.extra
         extra["warm_fallbacks"] = extra.get("warm_fallbacks", 0) + 1
         extra["warm_fallback_reason"] = reason
         self.last_warm_run = WarmRun(remote=False, fallback_reason=reason)
-        return scheduler.recheck_dirty()
+        return serial()
 
     def _sync_session(self, rdl) -> None:
         """Bring every session worker to the universe's current state.
@@ -855,88 +886,3 @@ def check_fleet(labels, workers: int, backend: str | None = None) -> ParallelRun
     with ParallelCheckEngine(workers=workers, backend=backend) as engine:
         return engine.check_labels(labels)
 
-
-# ---------------------------------------------------------------------------
-# CompRDL.check_all(labels, workers=N) backend
-# ---------------------------------------------------------------------------
-
-def check_universe_parallel(rdl, labels, workers: int) -> TypeErrorReport:
-    """Shard this universe's labelled methods across a worker fleet.
-
-    Workers rebuild each label's subject app *pristine* (a cold check), so
-    delegation is only sound while this universe is reproducible from that
-    build.  Schema mutations are attributable — the journal knows which
-    tables changed, so affected methods are re-resolved in-process below —
-    but a method (re)defined after ``mark_pristine()`` may be a type-level
-    helper whose new behaviour silently changes *any other* method's
-    verdict, which no dependency footprint can bound.  In that case the
-    whole check falls back to the serial incremental path: correct verdicts
-    beat parallel wrong ones.
-    """
-    from repro.apps import app_for_label
-
-    labels = _normalize_labels(labels)
-    for label in labels:
-        app_for_label(label)  # raises KeyError early for unknown labels
-
-    if getattr(rdl, "post_build_methods", None):
-        return rdl.incremental.check_all(labels)
-
-    scheduler = rdl.incremental
-    specs = specs_for_labels(labels, lambda _label: rdl.registry)
-    if not specs:
-        return TypeErrorReport()
-
-    shards = plan_shards(
-        specs,
-        workers,
-        registry_for_label=lambda _label: rdl.registry,
-        stats=scheduler.stats,
-        build_costs=None,
-        static_costs=_static_costs_of(scheduler),
-    )
-    tasks = [
-        ShardTask(shard_id=shard.index, specs=tuple(shard.specs),
-                  backend=rdl.db.backend_name, trace=obs_spans.enabled(),
-                  provenance=obs_prov.enabled())
-        for shard in shards
-    ]
-    results: list[ShardResult] = []
-    if tasks:
-        with ProcessPoolExecutor(
-            max_workers=max(1, workers),
-            mp_context=multiprocessing.get_context("spawn"),
-        ) as pool:
-            results = [r for r in pool.map(worker_mod.run_shard, tasks)]
-    for result in results:
-        obs_spans.absorb(result.spans)
-
-    report = merge_report(specs, results)
-    feed_incremental(scheduler, results, generation=rdl.db.version,
-                     producer={"kind": "fleet"})
-    scheduler.stats.parallel_rounds += 1
-    for label in labels:
-        if label not in scheduler.labels:
-            scheduler.labels.append(label)
-
-    # the parent may have migrated its schema since build: workers saw the
-    # pristine apps, so re-dirty anything those later generations could have
-    # touched — and then *resolve* the dirty methods against the live
-    # universe so the returned report matches a serial run of this universe,
-    # not the pristine one
-    worker_generations = [
-        version
-        for result in results
-        for version in result.db_versions.values()
-    ]
-    if worker_generations:
-        oldest = min(worker_generations)
-        changed = rdl.db.journal.tables_changed_since(oldest)
-        if changed:
-            affected = scheduler.tracker.methods_affected_by(changed) \
-                & set(scheduler.results)
-            scheduler.dirty |= affected
-    spec_keys = [spec.key() for spec in specs]
-    if any(key in scheduler.dirty for key in spec_keys):
-        report = scheduler.resolve(spec_keys)
-    return report

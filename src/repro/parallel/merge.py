@@ -53,20 +53,19 @@ def merge_report(serial_order: list[MethodSpec],
 
 
 def feed_incremental(scheduler, results: list[ShardResult],
-                     generation: int | None = None,
-                     producer: dict | None = None) -> int:
+                     generation: int, producer: dict) -> int:
     """Install worker verdicts into a universe's incremental engine.
 
-    Each method gets a cached :class:`MethodResult` plus its worker-recorded
-    dependency footprint, its dirty flag is cleared, and its observed cost
-    feeds the planner's cost model for the next round.  Returns the number
-    of verdicts adopted.
+    Each method gets a cached :class:`MethodResult` checked at
+    ``generation`` plus its worker-recorded dependency footprint, its dirty
+    flag is cleared, and its observed cost feeds the planner's cost model
+    for the next round.  Returns the number of verdicts adopted.
 
     With provenance enabled, each adoption is also recorded in the
     scheduler's ledger: ``producer`` supplies the production kind (the
-    engine passes ``{"kind": "fleet"}`` or ``{"kind": "warm", "session":
-    id}``) and the worker's pid/shard plus the piggybacked comp-cache
-    deltas are filled in per verdict.
+    engine passes ``{"kind": "warm", "session": id}``) and the worker's
+    pid/shard plus the piggybacked comp-cache deltas are filled in per
+    verdict.
     """
     tracker = scheduler.tracker
     stats = scheduler.stats
@@ -77,27 +76,24 @@ def feed_incremental(scheduler, results: list[ShardResult],
         for verdict in result.verdicts:
             key = verdict.spec.key()
             errors = verdict.rebuild_errors()
-            checked_at = (generation if generation is not None
-                          else result.db_versions.get(verdict.spec.label, 0))
             scheduler.results[key] = MethodResult(
                 key=key,
                 desc=verdict.desc,
                 errors=errors,
                 casts_used=verdict.casts_used,
                 oracle_casts=verdict.oracle_casts,
-                generation=checked_at,
+                generation=generation,
             )
             if verdict.deps is not None:
                 tracker.adopt(key, verdict.deps)
             scheduler.dirty.discard(key)
             if prov_on:
-                who = dict(producer) if producer else {"kind": "fleet"}
-                who.setdefault("kind", "fleet")
+                who = dict(producer)
                 who["pid"] = result.pid
                 who["shard"] = result.shard_id
                 comp_hits, comp_misses = verdict.prov or (0, 0)
                 scheduler.provenance.record(
-                    key, verdict.desc, errors, checked_at,
+                    key, verdict.desc, errors, generation,
                     deps=verdict.deps,
                     producer=who,
                     comp_hits=comp_hits,

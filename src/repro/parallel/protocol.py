@@ -128,7 +128,6 @@ class ShardResult:
     shard_id: int
     verdicts: list[MethodVerdict] = field(default_factory=list)
     build_s: dict[str, float] = field(default_factory=dict)   # label -> seconds
-    db_versions: dict[str, int] = field(default_factory=dict)  # label -> generation
     check_s: float = 0.0      # wall time spent checking (worker-side)
     cpu_s: float = 0.0        # process CPU time for the whole shard
     pid: int = 0

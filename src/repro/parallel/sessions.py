@@ -177,8 +177,8 @@ class SessionWorkerHandle:
         except OSError:
             pass
 
-    def close(self) -> None:
-        """Graceful shutdown: ask the loop to exit, then reap the process."""
+    def request_shutdown(self) -> None:
+        """Ask the loop to exit without waiting for the process to end."""
         if self.alive:
             try:
                 self.conn.send(Shutdown())
@@ -189,6 +189,10 @@ class SessionWorkerHandle:
                 self.conn.close()
             except OSError:
                 pass
+
+    def close(self) -> None:
+        """Graceful shutdown: ask the loop to exit, then reap the process."""
+        self.request_shutdown()
         self.process.join(timeout=5)
         if self.process.is_alive():  # pragma: no cover - stuck worker
             self.process.kill()
@@ -220,6 +224,9 @@ class SessionPool:
         return [h for h in self.workers if h.alive]
 
     def close(self) -> None:
+        # signal every worker before joining any, so their exits overlap
+        for handle in self.workers:
+            handle.request_shutdown()
         for handle in self.workers:
             handle.close()
         self.workers = []
@@ -227,7 +234,7 @@ class SessionPool:
 
 @dataclass
 class WarmRun:
-    """Diagnostics for one warm ``recheck_dirty`` round."""
+    """Diagnostics for one warm round (``check`` or ``recheck_dirty``)."""
 
     methods: int = 0                 # dirty/new methods shipped to workers
     remote: bool = False             # False: nothing pending or fell back

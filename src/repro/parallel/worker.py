@@ -154,25 +154,6 @@ def _catalog_put(label: str, backend: str | None, rdl) -> None:
         _WARM_CATALOG[_catalog_key(label, backend)] = rdl
 
 
-def warm_up(token: int = 0) -> int:
-    """Force the child to import and exercise the full checking stack (one
-    throwaway app build + check), so the first real shard measures checking
-    rather than one-time module-import and code-warm-up latency."""
-    from repro.apps import all_apps
-
-    app = min(all_apps(), key=lambda a: a.source_loc())
-    rdl = app.build()
-    rdl.check(app.label)
-    # warm-up work is deliberately untraced: drop anything recorded (an
-    # inherited REPRO_TRACE enables spans before the first real request)
-    obs_spans.drain(0)
-    # linger briefly: the pool feeds tasks from one shared queue, and
-    # without overlap a fast first worker could swallow several warm-up
-    # tokens while its siblings are still spawning (leaving them cold)
-    time.sleep(0.2)
-    return token
-
-
 def run_shard(task: ShardTask) -> ShardResult:
     """Check one shard and return its verdicts (the spawn entry point)."""
     from repro.apps import app_for_label
@@ -190,7 +171,6 @@ def run_shard(task: ShardTask) -> ShardResult:
                 rdl = app_for_label(label).build(backend=task.backend)
                 _catalog_put(label, task.backend, rdl)
             result.build_s[label] = time.perf_counter() - build_start
-            result.db_versions[label] = rdl.db.version
             universes[label] = rdl
         return rdl
 
@@ -342,7 +322,6 @@ def _check_session(sessions: dict, message: CheckRequest) -> ShardResult:
         if rdl is None:
             raise KeyError(f"session {message.session_id!r} has no replica "
                            f"for label {label!r}")
-        result.db_versions[label] = rdl.db.version
         return rdl
 
     with obs_spans.span("session.check", label=message.session_id) as sp:

@@ -72,7 +72,7 @@ def test_explain_parity_across_production_paths(backend):
 
         # each universe exercised the production path it is named for
         assert _producer_kinds(serial) == {"fresh"}
-        assert "fleet" in _producer_kinds(fleet)
+        assert "warm" in _producer_kinds(fleet)
         assert "warm" in _producer_kinds(warm)
 
         v_serial, v_fleet, v_warm = _views(serial), _views(fleet), _views(warm)

@@ -3,6 +3,8 @@ back-feed.  Most tests drive the worker protocol in-process (the protocol is
 plain functions); one test exercises real spawn workers end to end.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.apps import all_apps, app_for_label
@@ -136,10 +138,10 @@ end
     assert rdl.check_all("unknown_fleet_label").ok()
 
 
-def test_methods_loaded_after_build_fall_back_to_serial_verdicts():
-    # a worker rebuilds the *pristine* app, which would not contain this
-    # class (and a redefined helper could silently change any verdict) —
-    # after a post-build load, check_all(workers=N) must produce the same
+def test_methods_loaded_after_build_replay_on_session_workers():
+    # a worker builds the *pristine* app, which does not contain this
+    # class: the post-build load travels to the replicas as a load record,
+    # so check_all(workers=N) runs remote and still produces the same
     # verdicts as the serial path, including the new method
     app = APPS["huginn"]
     rdl = app.build()
@@ -164,6 +166,57 @@ end
     report = rdl.check_all(app.label, workers=2)
     assert _serial_key(report) == _serial_key(serial_report)
     assert "ParallelProbe.answer" in report.checked_methods
+    stats = rdl.incremental_stats
+    assert "warm_fallbacks" not in stats.extra
+    assert stats.methods_checked_parallel == len(report.checked_methods)
+
+
+def test_check_all_with_workers_leaves_no_worker_running():
+    # a universe without a warm engine runs the round on a transient fleet
+    # and closes it before returning
+    before = set(multiprocessing.active_children())
+    rdl = APPS["huginn"].build()
+    rdl.check_all("huginn", workers=2)
+    assert rdl.warm_engine is None
+    assert set(multiprocessing.active_children()) - before == set()
+
+
+def test_check_all_after_pristine_redefinition_falls_back_to_serial():
+    app = APPS["huginn"]
+    rdl, serial = app.build(), app.build()
+    key = rdl.incremental.keys_for([app.label])[0]
+    redefinition = (f"class {key.class_name}\n"
+                    f"  def {key.method_name}()\n    nil\n  end\nend\n")
+    rdl.load(redefinition)
+    serial.load(redefinition)
+    report = rdl.check_all(app.label, workers=2)
+    assert _serial_key(report) == _serial_key(serial.check_all(app.label))
+    extra = rdl.incremental_stats.extra
+    assert extra["warm_fallbacks"] == 1
+    assert "(re)definition" in extra["warm_fallback_reason"]
+    assert rdl.incremental_stats.methods_checked_parallel == 0
+
+
+def test_check_all_rides_the_universe_engine_without_rebuilds():
+    # an adopted engine of the requested width serves check_all(workers=N)
+    # and the later warm rechecks under one session: no round rebuilds
+    app = APPS["discourse"]
+    with ParallelCheckEngine(workers=2) as engine:
+        rdl = app.build()
+        rdl.adopt_warm_engine(engine)
+        report = rdl.check_all(app.label, workers=2)
+        assert _serial_key(report) == _serial_key(app.build().check(app.label))
+        first = engine.last_warm_run
+        assert first.remote and first.methods == len(report.checked_methods)
+        pids = [handle.pid for handle in engine._attached_workers()]
+
+        rdl.db.add_column("users", "engine_probe", "string")
+        rdl.recheck_dirty(workers=2)
+        run = engine.last_warm_run
+        assert run.remote and run.session_id == first.session_id
+        assert [handle.pid for handle in engine._attached_workers()] == pids
+        assert all(not r.build_s for r in first.results + run.results)
+        rdl.shutdown_warm()
 
 
 def test_duplicate_label_annotations_register_one_method_entry():
@@ -180,9 +233,9 @@ def test_duplicate_label_annotations_register_one_method_entry():
 
 
 def test_post_build_migration_verdicts_match_the_live_universe():
-    # workers check the *pristine* app, but the parent mutated its schema
-    # after build: the affected methods must be re-resolved against the
-    # live universe before the report is returned
+    # workers build the *pristine* app, but the parent mutated its schema
+    # after build: the attach is followed by the journal delta, so the
+    # replicas check against the live universe's schema
     app = APPS["discourse"]
     rdl = app.build()
     rdl.db.drop_column("users", "username")

@@ -109,7 +109,7 @@ def test_new_methods_travel_as_load_records():
 def test_pristine_redefinition_falls_back_to_serial():
     # redefining a method that existed at mark_pristine is the unbounded
     # delta (a redefined type-level helper can change any verdict): the
-    # engine must run the round in-process, mirroring the cold fleet rule
+    # engine must run the round in-process
     warm, serial = _twin_pair("huginn")
     try:
         key = warm.incremental.keys_for(["huginn"])[0]
