@@ -1,7 +1,9 @@
-"""Benchmark: the single-shard hot path — closure compiler vs tree walker.
+"""Benchmark: the single-shard hot path — closure compiler vs the tree oracle.
 
-Three measurements, each taken under both interpreter backends
-(``REPRO_INTERP=tree`` vs ``compiled``):
+Three measurements, each taken on both interpreters: the shipped
+closure-compiling ``Interp`` and the tree-walking reference oracle
+``TreeInterp`` (``tests/oracles/tree_interp.py``; universe-level runs
+substitute it for the facade's ``repro.api.Interp``):
 
 * **interpreter microbenchmark** — a call/loop/block-heavy mini-Ruby
   workload executed on a warm VM.  This isolates per-node evaluation cost,
@@ -17,10 +19,11 @@ Three measurements, each taken under both interpreter backends
   subject app.  Recorded for both modes so the JSON documents what the
   full pipeline (now dominated by checking, not interpretation) sees.
 
-Verdict parity gates unconditionally: the serial cold-check reports and
-the ``workers=4`` fleet reports must be verdict-for-verdict identical
-across backends — a faster interpreter that changes one verdict is a bug,
-not a result.
+Verdict parity gates unconditionally: the serial cold-check reports must
+be verdict-for-verdict identical across the two interpreters — a faster
+interpreter that changes one verdict is a bug, not a result.  (Fleet
+workers always run the shipped interpreter; ``tests/parallel`` pins
+fleet ≡ serial.)
 
 Run: ``PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick]``
 (``BENCH_QUICK=1`` implies ``--quick``; ``BENCH_JSON=path`` overrides the
@@ -30,11 +33,21 @@ default results path).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import sys
 import time
 
+# the tree-walking oracle lives with the tests, under the repo root
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+import repro.api  # noqa: E402
+from repro.runtime.interp import Interp  # noqa: E402
+from tests.oracles.tree_interp import TreeInterp  # noqa: E402
+
 MODES = ("tree", "compiled")
+INTERPS = {"tree": TreeInterp, "compiled": Interp}
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results",
                             "bench_hotpath.json")
 MIN_MICRO_SPEEDUP = 2.0
@@ -77,22 +90,32 @@ end
 """
 
 
+@contextlib.contextmanager
+def _universes_on(mode: str):
+    """Universes built inside the block run on the ``mode`` interpreter."""
+    saved = repro.api.Interp
+    repro.api.Interp = INTERPS[mode]
+    try:
+        yield
+    finally:
+        repro.api.Interp = saved
+
+
 def _universe(mode: str):
-    """A fresh CompRDL universe on the requested interpreter backend."""
+    """A fresh CompRDL universe on the requested interpreter."""
     from repro import CompRDL, Database
 
-    os.environ["REPRO_INTERP"] = mode
     db = Database()
     db.create_table("users", username="string", score="integer")
-    return CompRDL(db=db)
+    with _universes_on(mode):
+        return CompRDL(db=db)
 
 
 def bench_micro(mode: str, rounds: int) -> float:
     """Wall seconds for the interpreter microbenchmark (warm VM)."""
     from repro.lang.parser import parse_program
-    from repro.runtime.interp import Interp
 
-    interp = Interp(mode=mode)
+    interp = INTERPS[mode]()
     program = parse_program(MICRO_SOURCE, use_cache=False)
     expected = interp.run_program(program)  # warm-up + sanity
     start = time.perf_counter()
@@ -135,28 +158,17 @@ def bench_cold_check(mode: str, rounds: int) -> tuple[float, tuple]:
     """Wall seconds (and parity key) for the combined-apps cold check."""
     from repro.apps import all_apps
 
-    os.environ["REPRO_INTERP"] = mode
     key = None
-    start = time.perf_counter()
-    for _ in range(rounds):
-        keys = []
-        for app in all_apps():
-            rdl = app.build()
-            keys.append(_report_key(rdl.check_all([app.label])))
-        key = tuple(keys)
-    elapsed = time.perf_counter() - start
+    with _universes_on(mode):
+        start = time.perf_counter()
+        for _ in range(rounds):
+            keys = []
+            for app in all_apps():
+                rdl = app.build()
+                keys.append(_report_key(rdl.check_all([app.label])))
+            key = tuple(keys)
+        elapsed = time.perf_counter() - start
     return elapsed / rounds, key
-
-
-def bench_fleet(mode: str, workers: int = 4) -> tuple:
-    """Parity key for a ``workers=N`` parallel cold check of every app."""
-    from repro.apps import all_apps
-    from repro.parallel import check_fleet
-
-    os.environ["REPRO_INTERP"] = mode
-    labels = [app.label for app in all_apps()]
-    run = check_fleet(labels, workers=workers)
-    return _report_key(run.report)
 
 
 def run_benchmark(quick: bool) -> dict:
@@ -171,11 +183,7 @@ def run_benchmark(quick: bool) -> dict:
     for mode in MODES:
         cold[mode], cold_keys[mode] = bench_cold_check(mode, cold_rounds)
     assert cold_keys["compiled"] == cold_keys["tree"], (
-        "serial cold-check verdicts diverged between interpreter modes")
-
-    fleet_keys = {m: bench_fleet(m) for m in MODES}
-    assert fleet_keys["compiled"] == fleet_keys["tree"], (
-        "workers=4 fleet verdicts diverged between interpreter modes")
+        "serial cold-check verdicts diverged between interpreters")
 
     micro_speedup = micro["tree"] / micro["compiled"]
     comp_speedup = comp["tree"] / comp["compiled"]
@@ -204,14 +212,13 @@ def run_benchmark(quick: bool) -> dict:
         },
         "parity": {
             "serial": True,
-            "workers4": True,
         },
         "gate_speedup": round(micro_speedup, 2),
         "pass": micro_speedup >= MIN_MICRO_SPEEDUP,
         "pass_criterion": (
             f"interpreter microbenchmark speedup >= {MIN_MICRO_SPEEDUP}x "
-            "(compiled vs tree, same process, warm VM); verdict parity "
-            "serial and workers=4 asserted unconditionally; comp-eval and "
+            "(compiled vs tree, same process, warm VM); serial verdict "
+            "parity asserted unconditionally; comp-eval and "
             "cold-check wall times recorded for both modes"),
     }
 
@@ -241,7 +248,7 @@ def main() -> int:
         print(f"{label:<28} {section['tree_s']:>10.3f} "
               f"{section['compiled_s']:>13.3f} {section['speedup']:>7.2f}x")
     print("-" * len(header))
-    print("verdict parity: serial OK, workers=4 OK")
+    print("verdict parity: serial OK")
 
     os.makedirs(os.path.dirname(os.path.abspath(options.json)), exist_ok=True)
     with open(options.json, "w") as handle:

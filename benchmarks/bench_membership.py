@@ -6,19 +6,22 @@ against an RType.  Two ways to answer it:
 
 * **structural** — ``value_has_type`` re-walks the type tree on every
   call: an isinstance ladder re-dispatched per node, unions re-scanned,
-  ancestor chains re-walked (``REPRO_MEMBERSHIP=structural``);
+  ancestor chains re-walked (the reference semantics; the benchmark
+  routes check specs through it by substituting it for
+  ``repro.comp.checks.predicate_for``);
 * **compiled** — ``predicate_for`` lowers the type once into a closure
   tree; the isinstance ladder is resolved at compile time and nominal
   members carry an epoch-guarded inline cache keyed on the receiver's
-  pytype (the default).
+  pytype (the only path the dynamic checks ship with).
 
 Measurements:
 
 * **microloop** — per-eval cost of each backend over a corpus that
   covers every membership constructor; the gated metric: the compiled
   predicates must be >= 2x faster per eval.
-* **verdict parity** — every subject app checked serially *and* on a
-  4-worker fleet under both backends; all four report keys must agree.
+* **test-suite parity** — every subject app's test suite run with the
+  inserted dynamic checks on, once per backend; results, stdout and any
+  Blame must agree, and the walker must actually have been consulted.
 * **Blame parity** — the §4 staged-column Blame scenario must render a
   byte-identical message under both backends.
 * **warm attach** — first warm round after a migration, before/after the
@@ -33,10 +36,12 @@ Run: ``PYTHONPATH=src python benchmarks/bench_membership.py
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import time
 
+import repro.comp.checks
 from repro import CompRDL, Database
 from repro.apps import all_apps
 from repro.parallel import ParallelCheckEngine
@@ -45,7 +50,7 @@ from repro.rtypes import (ConstStringType, NominalType, OptionalArg,
 from repro.runtime.errors import Blame
 from repro.runtime.member_compile import predicate_for
 from repro.runtime.membership import value_has_type
-from repro.runtime.objects import RArray, RHash, RString, Sym
+from repro.runtime.objects import RArray, RHash, RString, Sym, ruby_inspect
 
 DEFAULT_ITERS = 300
 QUICK_ITERS = 25
@@ -69,13 +74,25 @@ end
 """
 
 
-def _parity_key(report) -> tuple:
-    return (
-        tuple(report.checked_methods),
-        tuple(str(e) for e in report.errors),
-        report.casts_used,
-        report.oracle_casts,
-    )
+@contextlib.contextmanager
+def _checks_on(mode: str):
+    """Check specs built inside the block use the ``mode`` backend; yields
+    a one-slot counter of structural walker calls."""
+    calls = [0]
+
+    def walker_for(rtype):
+        def pred(interp, value):
+            calls[0] += 1
+            return value_has_type(interp, value, rtype)
+        return pred
+
+    saved = repro.comp.checks.predicate_for
+    if mode == "structural":
+        repro.comp.checks.predicate_for = walker_for
+    try:
+        yield calls
+    finally:
+        repro.comp.checks.predicate_for = saved
 
 
 def _corpus(interp):
@@ -158,57 +175,50 @@ def bench_microloop(iters: int) -> dict:
     }
 
 
-def _mode_reports(mode: str, apps, workers: int) -> dict:
-    """Serial and fleet parity keys for every app under one backend."""
-    os.environ["REPRO_MEMBERSHIP"] = mode
-    serial = {}
-    for app in apps:
-        rdl = app.build()
-        serial[app.label] = _parity_key(rdl.check_all([app.label]))
-    fleet = {}
-    with ParallelCheckEngine(workers=workers) as engine:
+def _suite_outcomes(mode: str, apps) -> tuple[dict, int]:
+    """Each app's test suite with dynamic checks on, under one backend:
+    (result, stdout, Blame) per app, plus the structural walker's calls."""
+    outcomes = {}
+    with _checks_on(mode) as calls:
         for app in apps:
-            run = engine.check_labels([app.label])
-            fleet[app.label] = _parity_key(run.report)
-    return {"serial": serial, "fleet": fleet}
+            rdl = app.build()
+            rdl.check(app.label)
+            try:
+                result = ("ok", ruby_inspect(
+                    rdl.run(app.test_suite, checks=True)))
+            except Blame as blame:
+                result = ("blame", str(blame))
+            outcomes[app.label] = (result, list(rdl.stdout))
+    return outcomes, calls[0]
 
 
-def bench_mode_parity(quick: bool, workers: int) -> dict:
-    """Verdict parity across backends, serially and at ``workers`` — the
-    semantic gate: a faster membership test that changes any verdict is a
-    bug, not a result."""
+def bench_mode_parity(quick: bool) -> dict:
+    """Test-suite parity across backends — the semantic gate: a faster
+    membership test that changes any dynamic-check verdict is a bug, not a
+    result."""
     apps = list(all_apps())
     if quick:
         apps = [min(apps, key=lambda a: a.source_loc())]
-    saved = os.environ.get("REPRO_MEMBERSHIP")
-    try:
-        by_mode = {mode: _mode_reports(mode, apps, workers)
-                   for mode in ("structural", "compiled")}
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MEMBERSHIP", None)
-        else:
-            os.environ["REPRO_MEMBERSHIP"] = saved
-    reference = by_mode["structural"]["serial"]
-    for mode, reports in by_mode.items():
-        for flavor in ("serial", "fleet"):
-            assert reports[flavor] == reference, (
-                f"verdicts diverged: {mode}/{flavor}")
+    structural, walker_calls = _suite_outcomes("structural", apps)
+    compiled, _ = _suite_outcomes("compiled", apps)
+    assert walker_calls > 0, "the test suites ran no dynamic checks"
+    for label, outcome in structural.items():
+        assert compiled[label] == outcome, f"test suite diverged: {label}"
     return {
         "apps": [app.label for app in apps],
-        "workers": workers,
-        "configurations": 4,  # {structural, compiled} x {serial, fleet}
+        "dynamic_checks": walker_calls,
+        "configurations": 2,  # {structural, compiled} x test suite + checks
         "parity": True,
     }
 
 
 def _blame_message(mode: str) -> str:
-    os.environ["REPRO_MEMBERSHIP"] = mode
     db = Database()
     db.create_table("users", username="string", staged="boolean")
     rdl = CompRDL(db=db)
     rdl.load(FINDER_SOURCE)
-    report = rdl.check(":finder")
+    with _checks_on(mode):
+        report = rdl.check(":finder")
     assert report.ok(), report.summary()
     db.drop_column("users", "staged")
     try:
@@ -219,15 +229,8 @@ def _blame_message(mode: str) -> str:
 
 
 def bench_blame_parity() -> dict:
-    saved = os.environ.get("REPRO_MEMBERSHIP")
-    try:
-        structural = _blame_message("structural")
-        compiled = _blame_message("compiled")
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MEMBERSHIP", None)
-        else:
-            os.environ["REPRO_MEMBERSHIP"] = saved
+    structural = _blame_message("structural")
+    compiled = _blame_message("compiled")
     assert compiled == structural, (
         f"Blame text diverged:\n  structural: {structural}\n"
         f"  compiled:   {compiled}")
@@ -283,7 +286,7 @@ def bench_warm_attach(workers: int) -> dict | None:
 
 def run_benchmark(iters: int, workers: int, quick: bool) -> dict:
     micro = bench_microloop(iters)
-    modes = bench_mode_parity(quick, workers)
+    modes = bench_mode_parity(quick)
     blame = bench_blame_parity()
     warm = bench_warm_attach(workers)
     parity = modes["parity"] and blame["parity"]
@@ -291,9 +294,9 @@ def run_benchmark(iters: int, workers: int, quick: bool) -> dict:
         "benchmark": "membership_predicates",
         "workload": (
             "per-eval membership cost over a full constructor corpus, "
-            "verdict + Blame parity across REPRO_MEMBERSHIP backends "
-            "(serial and 4-worker fleet), warm attach before/after "
-            "shared catalogs"
+            "test-suite (dynamic checks on) + Blame parity between the "
+            "compiled predicates and the structural walker, warm attach "
+            "before/after shared catalogs"
         ),
         "iters": iters,
         "microloop": micro,
@@ -306,10 +309,10 @@ def run_benchmark(iters: int, workers: int, quick: bool) -> dict:
         "pass_criterion": (
             "compiled predicates >= 2x faster per eval than the structural "
             "walker over the constructor corpus (machine-independent: both "
-            "loops run in the same process on the same pairs), every app "
-            "verdict-identical under both backends serially and at "
-            f"workers={workers}, and the staged-column Blame message "
-            "byte-identical across backends"
+            "loops run in the same process on the same pairs), every app's "
+            "test suite with dynamic checks on identical (result, stdout, "
+            "Blame) under both backends, and the staged-column Blame "
+            "message byte-identical across backends"
         ),
     }
 
@@ -336,9 +339,10 @@ def main() -> int:
     print(f"  structural: {micro['per_eval_structural_us']:.3f}us/eval   "
           f"compiled: {micro['per_eval_compiled_us']:.3f}us/eval   "
           f"speedup {micro['speedup']:.2f}x (>= 2x required)")
-    print(f"verdict parity: {len(results['mode_parity']['apps'])} app(s) x "
-          f"{{structural, compiled}} x {{serial, fleet@"
-          f"{results['mode_parity']['workers']}}} — all identical")
+    modes = results["mode_parity"]
+    print(f"test-suite parity: {len(modes['apps'])} app(s) x "
+          f"{{structural, compiled}}, {modes['dynamic_checks']} dynamic "
+          f"membership checks — all identical")
     print("Blame parity: staged-column message byte-identical across "
           "backends")
     if results["warm_attach"]:

@@ -16,10 +16,9 @@ interpreter consults the spec:
 Specs are *specialized at construction*: the argument and return types are
 lowered once into compiled membership predicates
 (:mod:`repro.runtime.member_compile`), so the per-call loop does no type
-dispatch.  Under ``REPRO_MEMBERSHIP=structural`` no plan is bound and every
-check routes through the reference ``value_has_type`` walker instead;
-failure messages are rendered from the original types in both modes, so
-Blame is byte-identical.
+dispatch.  Failure messages are rendered from the original types, so Blame
+reads the same whichever predicate ``predicate_for`` hands out; the parity
+tests swap in the reference ``value_has_type`` walker there and compare.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.rtypes import CompExpr, RType
 from repro.runtime.errors import Blame
-from repro.runtime.member_compile import predicate_for, structural_mode
-from repro.runtime.membership import value_has_type
+from repro.runtime.member_compile import predicate_for
 
 
 @dataclass
@@ -57,12 +55,8 @@ class CheckSpec:
         """Precompile the membership plan for this spec's signature.
 
         ``_arg_plan`` pairs each compiled predicate with the original type
-        (kept for Blame rendering); ``None`` plans mean structural mode.
+        (kept for Blame rendering).
         """
-        if structural_mode():
-            self._arg_plan = None
-            self._ret_pred = None
-            return
         self._arg_plan = [(predicate_for(t), t) for t in self.arg_types]
         self._ret_pred = predicate_for(self.ret_type)
 
@@ -107,27 +101,15 @@ class CheckSpec:
     def _check_arg_values(self, interp, args, line) -> None:
         if not self.check_args:
             return
-        plan = self._arg_plan
-        if plan is not None:
-            for value, (pred, expected) in zip(args, plan):
-                if not pred(interp, value):
-                    raise Blame(
-                        f"argument to {self.method_desc} is not a "
-                        f"{expected.to_s()}", line, col=self.col,
-                    )
-            return
-        for value, expected in zip(args, self.arg_types):
-            if not value_has_type(interp, value, expected):
+        for value, (pred, expected) in zip(args, self._arg_plan):
+            if not pred(interp, value):
                 raise Blame(
                     f"argument to {self.method_desc} is not a "
                     f"{expected.to_s()}", line, col=self.col,
                 )
 
     def after_call(self, interp, receiver, args, result, line) -> None:
-        pred = self._ret_pred
-        ok = (pred(interp, result) if pred is not None
-              else value_has_type(interp, result, self.ret_type))
-        if not ok:
+        if not self._ret_pred(interp, result):
             raise Blame(
                 f"{self.method_desc} returned a value outside its computed "
                 f"type {self.ret_type.to_s()}", line, col=self.col,

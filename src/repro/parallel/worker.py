@@ -89,9 +89,8 @@ def _trace_end(reply, mark: int | None):
 #: label universes built pristine by cold shards / prebuild tasks, kept for
 #: reuse by later shards and *taken* by session attaches in this process —
 #: the cold fleet and the warm sessions build the same apps, so one replica
-#: set serves both.  Keyed by (label, backend name, interp mode, membership
-#: mode): the env axes change checking behaviour, and a replica must never
-#: cross them.
+#: set serves both.  Keyed by (label, backend name): a replica must never
+#: cross storage backends.
 _WARM_CATALOG: dict[tuple, object] = {}
 
 #: catalog participation is opt-in per process: only session workers flip
@@ -105,12 +104,7 @@ _CATALOG_ENABLED = [False]
 def _catalog_key(label: str, backend: str | None) -> tuple:
     from repro.db.backends import default_backend_name
 
-    return (
-        label,
-        backend or default_backend_name(),
-        os.environ.get("REPRO_INTERP", "") or "compiled",
-        os.environ.get("REPRO_MEMBERSHIP", "") or "compiled",
-    )
+    return (label, backend or default_backend_name())
 
 
 def _catalog_reusable(rdl) -> bool:

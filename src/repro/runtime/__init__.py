@@ -22,18 +22,12 @@ from repro.runtime.objects import (
 )
 from repro.runtime.errors import Blame, RubyError
 from repro.runtime.interp import Interp
-from repro.runtime.member_compile import (
-    check_member,
-    membership_mode,
-    predicate_for,
-)
+from repro.runtime.member_compile import predicate_for
 from repro.runtime.membership import value_has_type
 
 __all__ = [
     "Blame",
     "Interp",
-    "check_member",
-    "membership_mode",
     "predicate_for",
     "RArray",
     "RBlock",

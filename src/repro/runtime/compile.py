@@ -1,25 +1,24 @@
-"""Closure-compilation backend for the mini-Ruby interpreter.
+"""Closure compilation: how the mini-Ruby VM evaluates code.
 
-The tree walker in :mod:`repro.runtime.interp` re-dispatches on every node
-visit (``getattr(self, f"eval_{type(node).__name__}")``).  This module
-lowers each parsed AST node **once** into a Python closure ``fn(interp,
-frame) -> value``; evaluation is then direct calls through precompiled
-closure trees — no per-node name formatting, no ``getattr``, constant
-literals folded at compile time, and local-variable access resolved to a
-single-dict operation wherever scoping allows (method, class and program
-bodies always run in a parentless :class:`~repro.runtime.interp.Env`, so
-their local reads/writes never need the chain walk; block bodies keep it).
+This module lowers each parsed AST node **once** into a Python closure
+``fn(interp, frame) -> value``; evaluation is then direct calls through
+precompiled closure trees — no per-node dispatch on the node's type,
+constant literals folded at compile time, and local-variable access
+resolved to a single-dict operation wherever scoping allows (method, class
+and program bodies always run in a parentless
+:class:`~repro.runtime.interp.Env`, so their local reads/writes never need
+the chain walk; block bodies keep it).
 
 Closures are **interpreter-agnostic**: every bit of dynamic state (class
 tables, registry, dynamic-check table, foreign handlers) is read from the
 ``interp`` argument at run time.  That is what lets compiled code be cached
 on the (parse-cached, process-shared) AST nodes themselves and reused by
-every universe in the process — including universes running in *tree* mode,
-which simply never look at the cache slots.
+every universe in the process.
 
-Semantics are the tree walker's, bit for bit: both backends share
-``call_method``/``_dispatch``/``invoke``, the corelib, the object model and
-the dynamic-check table.  ``_dispatch_cached`` below replicates
+Semantics are those of the tree-walking reference interpreter kept with
+the tests (``tests/oracles/tree_interp.py``), bit for bit: both share
+``call_method``/``_dispatch``, the corelib, the object model and the
+dynamic-check table.  ``_dispatch_cached`` below replicates
 ``Interp._dispatch`` and must be kept in sync with it; on top of the
 replica it adds a per-call-site inline cache (receiver Python type +
 method-table epoch + foreign-handler count + owning interpreter) that
@@ -88,7 +87,7 @@ def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
     """Checked-call-aware dispatch with a per-call-site inline cache.
 
     With dynamic checks enabled every call goes through ``call_method`` so
-    inserted check specs fire exactly as in tree mode.  Otherwise this is
+    inserted check specs fire at every checked site.  Otherwise this is
     ``Interp._dispatch`` (replicated — keep in sync) plus the inline cache.
     """
     if i.checks_enabled:
@@ -185,7 +184,8 @@ class CompiledMethod:
         return fn
 
     def bind(self, i, receiver, args, block, env: Env) -> None:
-        """Bind ``args``/``block`` into ``env`` (``Interp._bind_params``)."""
+        """Bind ``args``/``block`` into ``env`` (the tree oracle's
+        ``_bind_params``, precomputed)."""
         env_vars = env.vars
         names = self._simple_names
         if names is not None:
@@ -223,7 +223,7 @@ class CompiledBlock:
 
     Cached on the source ``BlockNode``; every ``RBlock`` created from that
     literal carries a reference, so ``Interp.call_block`` can enter the
-    compiled body directly (mirroring the tree walker's binding rules,
+    compiled body directly (mirroring the tree oracle's binding rules,
     including single-array auto-splat).
     """
 
@@ -266,7 +266,7 @@ class CompiledBlock:
 
 
 # ---------------------------------------------------------------------------
-# node compilers — one per AST class, mirroring the eval_* tree walkers
+# node compilers — one per AST class, mirroring the tree oracle's eval_*
 # ---------------------------------------------------------------------------
 
 def _nil(i, f):

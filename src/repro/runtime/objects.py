@@ -112,7 +112,7 @@ class RMethod:
 
     ``code`` caches the closure-compiled form of a user-defined body
     (a :class:`repro.runtime.compile.CompiledMethod`); it is filled lazily
-    the first time the compiled backend invokes the method.  ``wref`` is a
+    the first time ``Interp.invoke`` runs the method.  ``wref`` is a
     reusable weak reference handed to the compiled backend's call-site
     caches — those live on process-shared AST nodes, and a strong method
     reference there would pin a discarded universe's whole class graph
@@ -285,7 +285,7 @@ class RBlock:
     ``compiled`` optionally carries the closure-compiled entry for the body
     (a :class:`repro.runtime.compile.CompiledBlock`, cached on the source
     ``BlockNode`` so every block instance created from one literal shares
-    it); ``None`` means the tree-walking path evaluates ``body``.
+    it); ``None`` until ``Interp.call_block`` compiles ``body`` lazily.
     """
 
     __slots__ = ("params", "body", "env", "self_obj", "is_lambda", "sym_proc",

@@ -1,25 +1,31 @@
-"""Differential suite: compiled backend ≡ tree walker, observable-for-observable.
+"""Differential suite: the VM ≡ the tree-walking oracle, observable-for-observable.
 
-Every program below runs once under ``REPRO_INTERP=tree`` and once under
-``REPRO_INTERP=compiled`` (sharing the parse-cached AST, exactly as mixed
-universes do in one process), and the two runs must agree on the result
-value, captured stdout, and any raised error — kind, message and line.
+Every program below runs once on the reference tree walker
+(:class:`tests.oracles.tree_interp.TreeInterp`) and once on the shipped
+closure-compiling :class:`~repro.runtime.interp.Interp` (sharing the
+parse-cached AST, exactly as many universes do in one process), and the two
+runs must agree on the result value, captured stdout, and any raised
+error — kind, message and line.
 
 The app-level tests then assert the strong contract the closure compiler
-ships under: on the combined subject-app cold check the two backends
-produce identical reports (same method order, same error strings, same cast
+ships under: on the combined subject-app cold check the two produce
+identical reports (same method order, same error strings, same cast
 counters), identical per-method dependency footprints for the incremental
-engine, and identical Blame messages from the inserted dynamic checks.
+engine, identical test-suite results with the inserted dynamic checks on,
+and identical Blame messages.  Whole universes run on the oracle by
+substituting it for the facade's ``Interp``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.api
 from repro.apps import all_apps
 from repro.runtime.errors import Blame, RubyError
 from repro.runtime.interp import Interp
 from repro.runtime.objects import ruby_inspect
+from tests.oracles.tree_interp import TreeInterp
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +309,8 @@ recurse(0)
 }
 
 
-def _observe(mode: str, source: str):
-    interp = Interp(mode=mode)
+def _observe(interp_cls, source: str):
+    interp = interp_cls()
     try:
         result = interp.run(source)
         outcome = ("ok", ruby_inspect(result))
@@ -322,16 +328,16 @@ def _observe(mode: str, source: str):
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_corpus_program_parity(name):
     source = CORPUS[name]
-    tree = _observe("tree", source)
-    compiled = _observe("compiled", source)
+    tree = _observe(TreeInterp, source)
+    compiled = _observe(Interp, source)
     assert compiled == tree
 
 
 @pytest.mark.parametrize("name", list(ERROR_CORPUS))
 def test_corpus_error_parity(name):
     source = ERROR_CORPUS[name]
-    tree = _observe("tree", source)
-    compiled = _observe("compiled", source)
+    tree = _observe(TreeInterp, source)
+    compiled = _observe(Interp, source)
     assert compiled == tree
     assert tree[0][0] != "ok"  # these programs must fail identically
 
@@ -349,8 +355,8 @@ def _report_key(report):
     )
 
 
-def _check_apps(monkeypatch, mode: str):
-    monkeypatch.setenv("REPRO_INTERP", mode)
+def _check_apps(monkeypatch, interp_cls):
+    monkeypatch.setattr(repro.api, "Interp", interp_cls)
     out = {}
     for app in all_apps():
         rdl = app.build()
@@ -365,30 +371,40 @@ def _check_apps(monkeypatch, mode: str):
 
 @pytest.mark.slow
 def test_combined_apps_verdict_and_dependency_parity(monkeypatch):
-    tree = _check_apps(monkeypatch, "tree")
-    compiled = _check_apps(monkeypatch, "compiled")
+    tree = _check_apps(monkeypatch, TreeInterp)
+    compiled = _check_apps(monkeypatch, Interp)
     assert set(tree) == set(compiled)
     for name in tree:
         assert compiled[name][0] == tree[name][0], f"verdicts diverged: {name}"
         assert compiled[name][1] == tree[name][1], f"deps diverged: {name}"
 
 
+def _run_suites(monkeypatch, interp_cls):
+    monkeypatch.setattr(repro.api, "Interp", interp_cls)
+    out = {}
+    for app in all_apps():
+        rdl = app.build()
+        rdl.check(app.label)
+        result = rdl.run(app.test_suite, checks=True)
+        assert result is not None, f"{app.name} dynamic checks failed"
+        out[app.name] = (ruby_inspect(result), list(rdl.stdout))
+    return out
+
+
 @pytest.mark.slow
 def test_app_test_suites_run_identically_with_checks(monkeypatch):
-    for mode in ("tree", "compiled"):
-        monkeypatch.setenv("REPRO_INTERP", mode)
-        for app in all_apps():
-            rdl = app.build()
-            rdl.check(app.label)
-            assert rdl.run(app.test_suite, checks=True) is not None, (
-                f"{app.name} dynamic checks failed under {mode}")
+    tree = _run_suites(monkeypatch, TreeInterp)
+    compiled = _run_suites(monkeypatch, Interp)
+    assert set(tree) == set(compiled)
+    for name in tree:
+        assert compiled[name] == tree[name], f"suite diverged: {name}"
 
 
-def _blame_message(monkeypatch, mode: str) -> str:
+def _blame_message(monkeypatch, interp_cls) -> str:
     """Force a §4 consistency Blame and capture its exact message."""
     from repro import CompRDL, Database
 
-    monkeypatch.setenv("REPRO_INTERP", mode)
+    monkeypatch.setattr(repro.api, "Interp", interp_cls)
     db = Database()
     db.create_table("users", username="string", staged="boolean")
     rdl = CompRDL(db=db)
@@ -414,8 +430,8 @@ end
 
 
 def test_blame_messages_identical_across_modes(monkeypatch):
-    tree = _blame_message(monkeypatch, "tree")
-    compiled = _blame_message(monkeypatch, "compiled")
+    tree = _blame_message(monkeypatch, TreeInterp)
+    compiled = _blame_message(monkeypatch, Interp)
     assert compiled == tree
     assert "comp type" in tree
 
@@ -440,11 +456,12 @@ class Greeter
 end
 """)
     assert rdl.run("Greeter.new.hi").val == "hi 1"
-    probes = [weakref.ref(rdl.interp)]
-    if rdl.interp.mode == "compiled":
-        # these natives land in the int call-site caches during the run
-        probes.append(weakref.ref(rdl.interp.classes["Integer"].imethods["+"]))
-        probes.append(weakref.ref(rdl.interp.classes["Integer"].imethods["to_s"]))
+    # the natives land in the int call-site caches during the run
+    probes = [
+        weakref.ref(rdl.interp),
+        weakref.ref(rdl.interp.classes["Integer"].imethods["+"]),
+        weakref.ref(rdl.interp.classes["Integer"].imethods["to_s"]),
+    ]
     del rdl, db
     gc.collect()
     for probe in probes:

@@ -4,20 +4,22 @@
 this suite is the semantic contract: for every membership constructor,
 every probe value, and every subject app, the compiled predicate must
 produce the verdict (and, at the check-spec layer, the Blame message)
-that ``value_has_type`` produces — under both settings of
-``REPRO_MEMBERSHIP`` — while the inline caches stay invisible across
-universe lifetimes.
+that ``value_has_type`` produces, while the inline caches stay invisible
+across universe lifetimes.  Whole test suites run once with every
+inserted check on the compiled predicates and once with
+``repro.comp.checks.predicate_for`` replaced by the structural walker, and
+must agree result for result.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import pickle
 import weakref
 
 import pytest
 
+import repro.comp.checks
 from repro import CompRDL, Database
 from repro.apps import all_apps
 from repro.comp.checks import CheckSpec
@@ -26,11 +28,10 @@ from repro.rtypes import (AnyType, BotType, ConstStringType, FiniteHashType,
                           SingletonType, TupleType, UnionType, VarType,
                           parse_type, try_intern)
 from repro.runtime.errors import Blame
-from repro.runtime.member_compile import (check_member, membership_mode,
-                                          membership_stats, predicate_for,
+from repro.runtime.member_compile import (membership_stats, predicate_for,
                                           reset_membership_stats)
 from repro.runtime.membership import value_has_type
-from repro.runtime.objects import RArray, RHash, RString, Sym
+from repro.runtime.objects import RArray, RHash, RString, Sym, ruby_inspect
 
 
 @pytest.fixture
@@ -133,17 +134,6 @@ def test_comp_types_membership_parity(universe):
                 value_has_type(interp, value, rtype), rtype.to_s()
 
 
-def test_check_member_respects_mode(universe, monkeypatch):
-    monkeypatch.setenv("REPRO_MEMBERSHIP", "structural")
-    assert membership_mode() == "structural"
-    interp = universe.interp
-    rtype = NominalType("Integer")
-    assert check_member(interp, 3, rtype) is True
-    monkeypatch.delenv("REPRO_MEMBERSHIP")
-    assert membership_mode() == "compiled"
-    assert check_member(interp, 3, rtype) is True
-
-
 # ---------------------------------------------------------------------------
 # canonical union arm order (the interning fix this layer depends on)
 # ---------------------------------------------------------------------------
@@ -170,6 +160,23 @@ def test_interned_union_arm_order_is_arrival_independent(universe):
 # check-spec plans: construction-time binding, pickling, Blame parity
 # ---------------------------------------------------------------------------
 
+def _use_membership(monkeypatch, structural: bool) -> list:
+    """Route every check spec built from now on through the structural
+    walker (``structural``) or the compiled predicates; returns a one-slot
+    counter of walker calls."""
+    calls = [0]
+
+    def walker_for(rtype):
+        def pred(interp, value):
+            calls[0] += 1
+            return value_has_type(interp, value, rtype)
+        return pred
+
+    monkeypatch.setattr(repro.comp.checks, "predicate_for",
+                        walker_for if structural else predicate_for)
+    return calls
+
+
 def _spec(**overrides) -> CheckSpec:
     fields = dict(
         method_desc="Probe#m",
@@ -184,36 +191,39 @@ def _spec(**overrides) -> CheckSpec:
     return CheckSpec(**fields)
 
 
-def test_check_spec_binds_predicates_at_construction(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMBERSHIP", raising=False)
+def test_check_spec_binds_predicates_at_construction():
     spec = _spec()
-    assert spec._ret_pred is not None
+    # the cached compiled predicates, bound once per spec
+    assert spec._ret_pred is predicate_for(spec.ret_type)
+    assert [pred is predicate_for(expected)
+            for pred, expected in spec._arg_plan] == [True, True]
     assert [expected.to_s() for _pred, expected in spec._arg_plan] == \
         ["String", "Integer or nil"]
-    monkeypatch.setenv("REPRO_MEMBERSHIP", "structural")
-    structural = _spec()
-    assert structural._arg_plan is None
-    assert structural._ret_pred is None
 
 
-def test_check_spec_plans_survive_pickling(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMBERSHIP", raising=False)
+def test_check_spec_plans_survive_pickling(universe):
     spec = _spec()
     clone = pickle.loads(pickle.dumps(spec))
-    assert clone._ret_pred is not None
-    assert len(clone._arg_plan) == 2
+    # the clone rebinds predicates that give the original's verdicts
+    interp = universe.interp
+    pairs = [(spec._ret_pred, clone._ret_pred)] + [
+        (pred, cloned) for (pred, _t), (cloned, _u)
+        in zip(spec._arg_plan, clone._arg_plan, strict=True)]
+    assert len(pairs) == 3
+    for value in _probe_values(interp):
+        for pred, cloned in pairs:
+            assert cloned(interp, value) == pred(interp, value), value
     # closures themselves must never ride the wire
-    assert b"_ret_pred" not in pickle.dumps(spec) or True
     state = spec.__getstate__()
     assert state["_arg_plan"] is None
     assert state["_ret_pred"] is None
 
 
-def _blame_message(monkeypatch, mode: str) -> str:
+def _blame_message(monkeypatch, structural: bool) -> str:
     """The §4 staged-column scenario: checked against a schema with the
     column, run after it is dropped — the guard must Blame identically
-    under both membership backends."""
-    monkeypatch.setenv("REPRO_MEMBERSHIP", mode)
+    on both membership paths."""
+    _use_membership(monkeypatch, structural)
     db = Database()
     db.create_table("users", username="string", staged="boolean")
     rdl = CompRDL(db=db)
@@ -237,44 +247,44 @@ end
 
 
 def test_blame_messages_identical_across_membership_modes(monkeypatch):
-    structural = _blame_message(monkeypatch, "structural")
-    compiled = _blame_message(monkeypatch, "compiled")
+    structural = _blame_message(monkeypatch, True)
+    compiled = _blame_message(monkeypatch, False)
     assert compiled == structural
     assert "comp type" in structural
 
 
 # ---------------------------------------------------------------------------
-# whole-system parity: every app, both backends, both membership modes
+# whole-system parity: every app's test suite, both backends, both paths
 # ---------------------------------------------------------------------------
 
-def _report_key(report):
-    return (
-        tuple(report.checked_methods),
-        tuple(str(e) for e in report.errors),
-        report.casts_used,
-        report.oracle_casts,
-    )
-
-
-def _check_apps(monkeypatch, mode: str, backend: str):
-    monkeypatch.setenv("REPRO_MEMBERSHIP", mode)
+def _run_suites(monkeypatch, structural: bool, backend: str):
+    """Each app's test suite with the inserted dynamic checks on: its
+    result, stdout and any Blame, plus the structural walker's call count."""
+    calls = _use_membership(monkeypatch, structural)
     out = {}
     for app in all_apps():
         rdl = app.build(backend=backend)
-        out[app.name] = _report_key(rdl.check_all([app.label]))
-    return out
+        rdl.check(app.label)
+        try:
+            result = ("ok", ruby_inspect(rdl.run(app.test_suite, checks=True)))
+        except Blame as blamed:
+            result = ("blame", str(blamed))
+        out[app.name] = (result, list(rdl.stdout))
+    return out, calls[0]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_combined_apps_verdict_parity_across_membership_modes(
         monkeypatch, backend):
-    structural = _check_apps(monkeypatch, "structural", backend)
-    compiled = _check_apps(monkeypatch, "compiled", backend)
+    structural, walker_calls = _run_suites(monkeypatch, True, backend)
+    compiled, _ = _run_suites(monkeypatch, False, backend)
+    # the suites really exercise membership: hundreds of dynamic checks
+    assert walker_calls >= 100
     assert set(structural) == set(compiled)
     for name in structural:
         assert compiled[name] == structural[name], (
-            f"verdicts diverged on {backend}: {name}")
+            f"test suite diverged on {backend}: {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +363,6 @@ def test_membership_counters_surface_in_metrics_snapshot():
         assert stats["ic_hits"] >= 1
         assert stats["pred_cache_hits"] >= 1
         snap = metrics_snapshot()
-        assert snap["membership.mode"] == membership_mode()
         assert snap["membership.compiles"] >= 1
         assert snap["membership.ic_hits"] >= 1
         assert 0.0 <= snap["membership.ic_hit_rate"] <= 1.0
@@ -362,19 +371,3 @@ def test_membership_counters_surface_in_metrics_snapshot():
         obs.reset()
         obs.set_enabled(was_enabled)
 
-
-def test_structural_mode_counts_walker_calls(monkeypatch):
-    from repro import obs
-
-    monkeypatch.setenv("REPRO_MEMBERSHIP", "structural")
-    was_enabled = obs.enabled()
-    obs.enable()
-    reset_membership_stats()
-    try:
-        rdl = CompRDL()
-        check_member(rdl.interp, 3, NominalType("Integer"))
-        assert membership_stats()["structural_calls"] >= 1
-    finally:
-        reset_membership_stats()
-        obs.reset()
-        obs.set_enabled(was_enabled)
