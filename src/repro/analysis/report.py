@@ -8,7 +8,6 @@ baselines, and the consumer layers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.analysis.footprint import FootprintAnalyzer, StaticFootprint
@@ -118,6 +117,3 @@ def analyze_universe(rdl, keys=None, label: str = "") -> AnalysisReport:
     return AnalysisReport(label=label, footprints=footprints,
                           diagnostics=diagnostics)
 
-
-def report_to_json_str(report: AnalysisReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.db.engine import pluralize, snake_case
 from repro.rtypes import (
-    AnyType,
     ConstStringType,
     FiniteHashType,
     GenericType,
@@ -22,12 +21,11 @@ from repro.rtypes import (
     RType,
     SingletonType,
     TupleType,
-    UnionType,
     make_union,
 )
 from repro.rtypes.kinds import ClassRef, Sym
 from repro.runtime.errors import RubyError
-from repro.runtime.objects import RArray, RClass, RHash, RMethod, RString
+from repro.runtime.objects import RMethod, RString
 
 _OBJECT = NominalType("Object")
 _BOOL = NominalType("Boolean")
@@ -100,12 +98,6 @@ def _type_error(message: str):
 
 def _arg(args, index, default=None):
     return args[index] if index < len(args) else default
-
-
-def _as_rtype(interp, value) -> RType:
-    from repro.comp.reflect import to_rtype
-
-    return to_rtype(interp, value)
 
 
 def _table_name_for(value) -> str:

@@ -82,23 +82,16 @@ class CompRDL:
         self.checker = TypeChecker(self.interp, self.registry, self.config)
         self.incremental = IncrementalScheduler(self.checker, self.registry,
                                                 self.db)
-        # methods (re)defined or annotated after the last `mark_pristine()`:
-        # a fresh rebuild of this universe would not see them, so the warm
-        # session engine decides from them whether a delta can be bounded
-        # (warm_block_reason).  post_build_loads records the program
-        # sources that caused them — the "method definition records" a
-        # session delta replays against live worker replicas.
-        self.post_build_methods: set = set()
+        # replayability: a fresh rebuild from the app recipe (everything
+        # up to mark_pristine) plus the post_build_loads log reproduces this
+        # universe unless replay_blocker names the first event that broke
+        # that — warm session engines replay the log onto worker replicas,
+        # or fall back to serial checking with the blocker as the reason
         self.post_build_loads: list[str] = []
-        self.post_build_load_keys: set = set()
+        self.replay_blocker: str | None = "universe was never marked pristine"
         self.pristine_generation: int | None = None
-        # bumped on every mark_pristine: warm sessions key their per-worker
-        # sync state on it, so re-marking mid-session forces cold re-attach
-        # instead of replaying deltas against the wrong baseline
-        self.pristine_epoch = 0
         self._pristine_keys: frozenset = frozenset()
-        self._method_event_log: list = []
-        self._migrating_loads = False
+        self._loading = False
         self._warm_engine = None
         # True when _warm_engine was adopted from a caller-owned fleet
         # (adopt_warm_engine): shutdown_warm then detaches instead of
@@ -112,67 +105,58 @@ class CompRDL:
         self.registry.add_method_listener(self._note_method_event)
 
     # ------------------------------------------------------------------
+    def _block_replay(self, reason: str) -> None:
+        if self.replay_blocker is None:  # the first offending event wins
+            self.replay_blocker = reason
+
     def _note_method_event(self, key) -> None:
-        self.post_build_methods.add(key)
-        self._method_event_log.append(key)
+        if key in self._pristine_keys:
+            self._block_replay(
+                f"post-build (re)definition of {key} — a redefined "
+                f"type-level helper can change any verdict")
+        elif not self._loading:
+            self._block_replay(
+                f"method {key} defined outside load(), not replayable")
 
     def load(self, source: str):
         """Execute a mini-Ruby program (defining classes and annotations)."""
-        before = len(self._method_event_log)
-        version_before = self.db.version if self.db is not None else 0
-        with obs.span("universe.load") as sp:
-            sp.set("bytes", len(source))
-            result = self.interp.run(source)
+        version_before = self.db.version
+        self._loading = True
+        try:
+            with obs.span("universe.load") as sp:
+                sp.set("bytes", len(source))
+                result = self.interp.run(source)
+        finally:
+            self._loading = False
         # every source is a replayable definition record: a load that only
         # defines a class (no method events) still shapes later verdicts,
         # so warm replicas must replay it too
         self.post_build_loads.append(source)
-        self.post_build_load_keys.update(self._method_event_log[before:])
-        if self.db is not None and self.db.version != version_before:
+        if self.db.version != version_before:
             # the source migrated the schema: its events are already in the
-            # journal, so replaying the source would apply them twice — an
-            # unbounded delta for warm sessions
-            self._migrating_loads = True
+            # journal, so replaying the source would apply them twice
+            self._block_replay("a post-build load migrated the schema "
+                               "itself: its journal events and its source "
+                               "would replay twice")
         return result
 
     def mark_pristine(self) -> None:
         """Declare the current state reproducible from scratch: everything
         loaded so far is part of this universe's canonical build recipe
         (``SubjectApp.build`` calls this after loading the app source).
-        Methods loaded *afterwards* diverge from a fresh rebuild, which the
-        warm session engine replays (new definitions) or refuses to bound
-        (redefinitions)."""
-        self.post_build_methods.clear()
+        Loads *afterwards* diverge from a fresh rebuild, which the warm
+        session engine replays from ``post_build_loads`` unless
+        ``replay_blocker`` says it cannot.  A second call absorbs the
+        post-build loads into a baseline no app recipe reproduces, so it
+        blocks replay for good."""
+        self.replay_blocker = (
+            None if self.pristine_generation is None else
+            "the universe was re-marked pristine after build: replicas "
+            "rebuilt from the app recipe cannot reproduce it")
         self.post_build_loads = []
-        self.post_build_load_keys = set()
-        self._method_event_log = []
-        self._migrating_loads = False
-        self.pristine_generation = self.db.version if self.db is not None else 0
-        self.pristine_epoch += 1
+        self.pristine_generation = self.db.version
         self._pristine_keys = (frozenset(self.registry.defined_methods)
                                | frozenset(self.registry.method_annotations))
-
-    @property
-    def post_build_redefinitions(self) -> set:
-        """Post-pristine (re)definitions or re-annotations of methods that
-        already existed at ``mark_pristine`` — the unbounded deltas: a
-        redefined type-level helper can change *any* verdict, which no
-        dependency footprint bounds."""
-        return self.post_build_methods & self._pristine_keys
-
-    @property
-    def post_build_unreplayable(self) -> set:
-        """Post-pristine method events with no recorded ``load`` source
-        (defined via :meth:`run` or direct registry calls) — a warm worker
-        replica cannot replay them."""
-        return self.post_build_methods - self.post_build_load_keys
-
-    @property
-    def post_build_migrating_loads(self) -> bool:
-        """Whether a post-pristine ``load`` source itself migrated the
-        schema.  Those events are already in the journal, so replaying the
-        source on a warm replica would apply them twice — unbounded."""
-        return self._migrating_loads
 
     def check(self, label: str) -> TypeErrorReport:
         """Type check every method annotated ``typecheck: :label``."""

@@ -9,15 +9,6 @@ Unknown user-defined methods default to the conservative ``(-, -)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class _Effect:
-    terminates: str
-    pure: str
-
-
 # Iterator methods: terminate if the block terminates and does not mutate
 # the receiver (":blockdep").
 _BLOCKDEP = {

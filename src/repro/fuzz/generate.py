@@ -71,9 +71,6 @@ class SchemaModel:
     def columns_of(self, table: str) -> dict:
         return self.tables.get(table, {})
 
-    def _models_of(self, table: str) -> list[str]:
-        return [cls for cls, tab in self.models.items() if tab == table]
-
     # -- applicability ------------------------------------------------------
     def applies(self, step: Step) -> bool:
         """Whether ``step`` can run against the current state.  The harness

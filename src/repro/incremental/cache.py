@@ -94,15 +94,6 @@ class CompEvalCache:
         return entry
 
     # ------------------------------------------------------------------
-    def invalidate_tables(self, tables: set[str]) -> int:
-        """Eagerly drop entries that read any of ``tables``; returns count."""
-        doomed = [key for key, entry in self._entries.items()
-                  if affects(entry.tables, tables)]
-        for key in doomed:
-            del self._entries[key]
-        self.stats.comp_invalidations += len(doomed)
-        return len(doomed)
-
     def clear(self) -> None:
         self._entries.clear()
 

@@ -123,25 +123,6 @@ class SchemaJournal:
                     changed.add(event.detail)
         return changed
 
-    def columns_changed_since(self, generation: int) -> set[tuple[str, str]]:
-        """``(table, column)`` pairs touched after ``generation``.
-
-        Contains ``(WILDCARD, WILDCARD)`` when the journal has forgotten
-        events that old (same conservative semantics as
-        :meth:`tables_changed_since`).  Note that *invalidation* is
-        deliberately table-granular: adding a column changes the table's
-        whole finite-hash type, which comp code may observe even without
-        reading the new column, so column-level invalidation would be
-        unsound.  Column data exists for diagnostics and reporting.
-        """
-        if generation < self.oldest_retained:
-            return {(WILDCARD, WILDCARD)}
-        return {
-            (e.table, e.column)
-            for e in self._events
-            if e.generation > generation and e.column is not None
-        }
-
     def __len__(self) -> int:
         return len(self._events)
 

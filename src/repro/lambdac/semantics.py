@@ -29,7 +29,6 @@ from repro.lambdac.syntax import (
     Val,
     Value,
     VBool,
-    VClassId,
     VNil,
     VObj,
     Var,
@@ -39,11 +38,6 @@ from repro.lambdac.syntax import (
 
 class Blame(Exception):
     """The configuration reduced to blame."""
-
-
-@dataclass
-class Hole:
-    """The ■ of an evaluation context."""
 
 
 # A context is represented as a "rebuild" function zipper: we decompose an

@@ -621,6 +621,9 @@ class _Parser:
         if self.accept("op", "("):
             args = self._bracket_args(")")
             block_arg = self._take_block_arg()
+        elif self._starts_command_arg():
+            args = self._command_args()
+            block_arg = self._take_block_arg()
         call = ast.MethodCall(receiver=receiver, name=name, args=args,
                               block_arg=block_arg, line=token.line, col=token.col)
         call.block = self._maybe_block()

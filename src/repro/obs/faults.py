@@ -160,11 +160,6 @@ def set_env(environ=None) -> None:
         environ.pop(_ENV_VAR, None)
 
 
-def clear_env(environ=None) -> None:
-    environ = os.environ if environ is None else environ
-    environ.pop(_ENV_VAR, None)
-
-
 def load_env(environ=None) -> bool:
     """Arm this process from ``REPRO_FAULTS``; returns whether anything
     was armed.  Malformed tokens are ignored (a fuzz run must not be

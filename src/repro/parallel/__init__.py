@@ -1,20 +1,23 @@
-"""Parallel sharded checking: planner → spawn workers → verdict-parity merge.
+"""Parallel sharded checking: planner → session workers → verdict-parity merge.
 
 The fleet partitions the methods of one or more subject-app labels into
 cost-balanced shards (:mod:`repro.parallel.planner`), checks each shard in a
-spawn-mode worker process that rebuilds its apps from the label
-(:mod:`repro.parallel.worker`), and deterministically folds the picklable
-verdicts back into a single report that is verdict-for-verdict identical to
-a serial run, back-feeding dependency footprints into the incremental
-engine (:mod:`repro.parallel.merge`).
+spawn-mode session worker (:mod:`repro.parallel.worker`), and
+deterministically folds the picklable verdicts back into a single report
+that is verdict-for-verdict identical to a serial run, back-feeding
+dependency footprints into the incremental engine
+(:mod:`repro.parallel.merge`).
 
-A live universe is checked off-process through **warm sessions**
-(:mod:`repro.parallel.sessions`): session workers attach replicas of its
-subject app once, then receive schema-journal deltas and post-build load
-records (:class:`SessionDelta`) and check only pending methods — no
-rebuilds between rounds.  ``CompRDL.check_all(labels, workers=N)`` and
-``CompRDL.recheck_dirty(workers=N)`` are both such rounds; a cold check is
-an attach with an empty delta.
+Every worker speaks one protocol (:mod:`repro.parallel.protocol`).  A cold
+check of subject-app labels is a :class:`CheckRequest` with session id
+``None``, which the worker serves from its catalog of pristine replicas
+(built once per process).  A live universe is checked through **warm
+sessions** (:mod:`repro.parallel.sessions`): session workers attach
+replicas of its subject app once, then receive schema-journal deltas and
+post-build load records (:class:`SessionDelta`) and check only pending
+methods — no rebuilds between rounds.  ``CompRDL.check_all(labels,
+workers=N)`` and ``CompRDL.recheck_dirty(workers=N)`` are both such rounds;
+a cold check is an attach with an empty delta.
 
 Use :class:`ParallelCheckEngine` for a persistent fleet,
 :func:`check_fleet` for one-shot checks of subject-app labels, or the two
@@ -45,7 +48,6 @@ from repro.parallel.protocol import (
     SessionDelta,
     SessionError,
     ShardResult,
-    ShardTask,
     Shutdown,
 )
 from repro.parallel.sessions import (
@@ -72,7 +74,6 @@ __all__ = [
     "Shard",
     "ShardGapError",
     "ShardResult",
-    "ShardTask",
     "Shutdown",
     "WarmRun",
     "WarmSyncError",

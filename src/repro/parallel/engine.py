@@ -1,11 +1,14 @@
 """The parallel checking fleet: pool management and orchestration.
 
-Entry points sharing the planner/worker/merge machinery:
+Every off-process check speaks the session protocol
+(:mod:`repro.parallel.protocol`) to one pool of session workers:
 
 * :class:`ParallelCheckEngine` — a persistent fleet for checking one or
   more subject-app labels across spawn workers, keeping the worker pool
   warm between rounds (a cold check of the combined apps is one round; a
-  long-lived checking service runs many).  Observed per-method and
+  long-lived checking service runs many).  A cold round sends each shard
+  as a ``CheckRequest`` with session id ``None``, which the worker checks
+  against its pristine replica catalog.  Observed per-method and
   per-app-build costs flow back into the engine's stats after every round
   (EWMA), and observed shard *imbalance* tunes the planner's split
   threshold, so later plans balance on measurements instead of heuristics.
@@ -16,10 +19,11 @@ Entry points sharing the planner/worker/merge machinery:
   only the pending methods; the merged report is verdict-for-verdict
   identical to the serial incremental path.  ``CompRDL.check_all(labels,
   workers=N)`` is :meth:`check`: a cold check is a session attach with an
-  empty delta.  Deltas that cannot be bounded (a post-build method
-  *re*definition — a redefined type-level helper can change any verdict,
-  which no dependency footprint bounds — or a journal that has forgotten
-  the needed events) fall back to the serial incremental path.
+  empty delta.  A universe whose ``replay_blocker`` is set (a post-build
+  method *re*definition — a redefined type-level helper can change any
+  verdict, which no dependency footprint bounds — among others), or whose
+  journal has forgotten the needed events, falls back to the serial
+  incremental path.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.parallel.protocol import (
     MethodSpec,
     SessionDelta,
     ShardResult,
-    ShardTask,
 )
 from repro.parallel.sessions import (
     DEADLINE_S,
@@ -139,7 +142,7 @@ class ParallelCheckEngine:
         # storage backend name for every universe this fleet builds —
         # parent-side catalogs and worker-side rebuilds alike (None → the
         # REPRO_DB_BACKEND environment default, which spawn children
-        # inherit); the name travels in each ShardTask, never a connection
+        # inherit); the name travels in each request, never a connection
         self.backend = backend
         self.stats = stats or IncrementalStats()
         self.build_costs: dict[str, float] = {}
@@ -157,28 +160,26 @@ class ParallelCheckEngine:
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
-    def warm_up(self, labels=()) -> float:
-        """Spin up every worker (interpreter start + repro imports) now, so
-        checking rounds measure checking.  Each worker pre-builds ``labels``
-        (default: the smallest subject app) into its warm replica catalog,
-        so the first cold round — and a later session attach — reuses them
-        instead of rebuilding.  Returns the warm-up wall time."""
+    def prime(self, labels) -> float:
+        """One-time fleet set-up for ``labels``: build the parent-side
+        catalog universes (method enumeration + serial order), spin up
+        every worker and pre-build the labels into each worker's pristine
+        replica catalog, so the first cold round — and a later session
+        attach — reuses them instead of rebuilding.  Returns the set-up
+        wall time; after this, ``check_labels`` rounds measure steady-state
+        checking only."""
         start = time.perf_counter()
-        labels = _normalize_labels(labels) if labels else []
-        if not labels:
-            from repro.apps import all_apps
-
-            labels = [min(all_apps(), key=lambda a: a.source_loc()).label]
+        labels = _normalize_labels(labels)
+        for label in labels:
+            self._catalog_universe(label)
         if self.workers == 1:
             # degenerate fleet: everything runs in-process, nothing to warm
             return time.perf_counter() - start
-        handles = self._session_handles()
-        task = ShardTask(shard_id=-1, specs=(), backend=self.backend,
-                         prebuild=tuple(labels))
+        prebuild = AttachUniverse(None, tuple(labels), backend=self.backend)
         sent = []
-        for handle in handles:
+        for handle in self._session_handles():
             try:
-                handle.send(task)
+                handle.send(prebuild)
                 sent.append(handle)
             except WorkerLost:
                 continue
@@ -189,23 +190,10 @@ class ParallelCheckEngine:
                 continue
         return time.perf_counter() - start
 
-    def prime(self, labels) -> float:
-        """One-time fleet set-up for ``labels``: build the parent-side
-        catalog universes (method enumeration + serial order) and warm every
-        worker, pre-building the labels' replicas worker-side.  Returns the
-        set-up wall time; after this, ``check_labels`` rounds measure
-        steady-state checking only."""
-        start = time.perf_counter()
-        labels = _normalize_labels(labels)
-        for label in labels:
-            self._catalog_universe(label)
-        self.warm_up(labels)
-        return time.perf_counter() - start
-
     def _session_handles(self):
         """The shared session-worker pool (spawned on first use): one fleet
-        of processes serves cold shards, warm-up prebuilds and warm
-        sessions, so their module-level replica catalogs are shared."""
+        of processes serves cold shards, prebuilds and warm sessions, so
+        their module-level replica catalogs are shared."""
         if self._session_pool is None:
             self._session_pool = SessionPool(
                 self.workers, deadline_s=self.deadline_s)
@@ -296,43 +284,52 @@ class ParallelCheckEngine:
         return run
 
     def _run_shards(self, shards: list[Shard]) -> list[ShardResult]:
-        tasks = [
-            ShardTask(shard_id=shard.index, specs=tuple(shard.specs),
-                      backend=self.backend, trace=obs_spans.enabled(),
-                      provenance=obs_prov.enabled())
+        requests = [
+            CheckRequest(None, shard.index, tuple(shard.specs),
+                         backend=self.backend, trace=obs_spans.enabled(),
+                         provenance=obs_prov.enabled())
             for shard in shards
         ]
-        if self.workers == 1 or len(tasks) <= 1:
-            # degenerate fleet: run in-process, same protocol
-            return [worker_mod.run_shard(task) for task in tasks]
+        if self.workers == 1 or len(requests) <= 1:
+            # degenerate fleet: check in-process
+            return [self._check_in_process(request) for request in requests]
         # cold shards ride the session workers: same processes (and same
-        # warm replica catalogs) as later session attaches, so a cold
-        # round's builds seed the warm path.  Send all, then recv in task
-        # order (replies are FIFO per pipe); a lost worker's task reruns
+        # pristine replica catalogs) as later session attaches, so a cold
+        # round's builds seed the warm path.  Send all, then recv in request
+        # order (replies are FIFO per pipe); a lost worker's shard reruns
         # in-process so the round always completes.
         handles = self._session_handles()
         in_flight: list = []
-        for index, task in enumerate(tasks):
+        for index, request in enumerate(requests):
             handle = handles[index % len(handles)]
             try:
-                handle.send(task)
+                handle.send(request)
             except WorkerLost:
                 handle = None
-            in_flight.append((handle, task))
+            in_flight.append((handle, request))
         results: list[ShardResult] = []
-        for handle, task in in_flight:
+        for handle, request in in_flight:
             result = None
             if handle is not None:
                 try:
                     result = handle.recv(deadline_s=self._cold_deadline())
                 except (WorkerLost, SessionRequestFailed):
                     obs_spans.event("fleet.worker_lost",
-                                    args={"shard": task.shard_id})
-                    result = None
+                                    args={"shard": request.shard_id})
             if result is None:
-                result = worker_mod.run_shard(task)
+                result = self._check_in_process(request)
             results.append(result)
         return results
+
+    def _check_in_process(self, request: CheckRequest) -> ShardResult:
+        """Check one cold shard against this engine's own pristine catalog
+        universes (the ones enumeration already built)."""
+        result = ShardResult(shard_id=request.shard_id, pid=os.getpid())
+        with obs_spans.span("session.check", label="catalog") as sp:
+            sp.set("methods", len(request.specs))
+            worker_mod.check_specs_into(result, self._catalog_universe,
+                                        request.specs)
+        return result
 
     def _absorb_costs(self, results: list[ShardResult]) -> None:
         """Feed observed costs back into the planner's model (EWMA per
@@ -611,34 +608,14 @@ class ParallelCheckEngine:
             # line up (per-label journals are the distributed-fleet item)
             return ("multi-label universes are not warm-replicable: one "
                     "combined journal cannot replay into per-app replicas")
-        pristine = getattr(rdl, "pristine_generation", None)
-        if pristine is None:
-            return "universe was never marked pristine"
-        if getattr(rdl, "pristine_epoch", 1) > 1:
-            # a re-marked universe absorbed post-build loads into its
-            # baseline, but replicas rebuild from the subject-app recipe,
-            # which knows nothing about them — no delta can bridge that
-            return ("the universe was re-marked pristine after build: "
-                    "replicas rebuilt from the app recipe cannot "
-                    "reproduce it")
-        redefs = getattr(rdl, "post_build_redefinitions", None)
-        if redefs:
-            names = ", ".join(sorted(str(key) for key in redefs))
-            return (f"post-build (re)definition of {names} — a redefined "
-                    f"type-level helper can change any verdict")
-        unreplayable = getattr(rdl, "post_build_unreplayable", None)
-        if unreplayable:
-            names = ", ".join(sorted(str(key) for key in unreplayable))
-            return f"methods defined outside load(), not replayable: {names}"
-        if getattr(rdl, "post_build_migrating_loads", False):
-            return ("a post-build load migrated the schema itself: its "
-                    "journal events and its source would replay twice")
+        if rdl.replay_blocker is not None:
+            return rdl.replay_blocker
         for label in labels:
             try:
                 app_for_label(label)
             except KeyError:
                 return f"label {label!r} names no subject app"
-        if pristine < rdl.db.journal.oldest_retained:
+        if rdl.pristine_generation < rdl.db.journal.oldest_retained:
             return ("the schema journal no longer reaches the pristine "
                     "generation (too many migrations)")
         return None
@@ -760,11 +737,7 @@ class ParallelCheckEngine:
                 continue
         for handle in sent:
             try:
-                # cold attaches legitimately take seconds (full app build),
-                # so acks get the generous process-default deadline even
-                # when the engine runs with a tight per-request one
-                ack = handle.recv(deadline_s=max(
-                    DEADLINE_S[0], self.deadline_s or 0.0))
+                ack = handle.recv(deadline_s=self._cold_deadline())
             except WorkerLost:
                 continue
             obs_spans.absorb(getattr(ack, "spans", ()))

@@ -7,19 +7,16 @@ exception instances because :class:`StaticTypeError`'s constructor formats
 its arguments (re-pickling the instance would re-format an already-formatted
 message and lose the structured ``line``/``method`` fields).
 
-Two vocabularies share this module:
-
-* the **one-shot** vocabulary (:class:`ShardTask` → :class:`ShardResult`):
-  a cold check, where the worker rebuilds each subject app pristine and
-  checks a method slice — stateless, any process can serve any task;
-* the **session** vocabulary (:class:`AttachUniverse` /
-  :class:`SessionDelta` / :class:`CheckRequest` …): warm workers keep live
-  label universes between rounds, receive schema-journal deltas and
-  post-build load records instead of rebuilding, and re-check only dirty
-  methods.  Session messages are routed to a *specific* worker process
-  (state lives there), so they carry a ``session_id`` and the worker side
-  is a dispatch loop (:func:`repro.parallel.worker.session_main`) rather
-  than a pure function.
+One session vocabulary (:class:`AttachUniverse` / :class:`SessionDelta` /
+:class:`CheckRequest` …) serves every off-process check.  Workers keep live
+label universes between rounds, receive schema-journal deltas and
+post-build load records instead of rebuilding, and re-check only dirty
+methods.  Messages are routed to a *specific* worker process (state lives
+there), so they carry a ``session_id`` and the worker side is a dispatch
+loop (:func:`repro.parallel.worker.session_main`).  A ``session_id`` of
+``None`` names the worker's pristine replica catalog instead of a session:
+a cold check is a ``CheckRequest(None, …)`` against catalog replicas, and
+an ``AttachUniverse(None, …)`` prebuilds them.
 
 Schema deltas travel as :meth:`SchemaEvent.to_wire` tuples — the stable
 encoding shared with any future socket transport.
@@ -69,38 +66,6 @@ class MethodSpec:
         return str(self.key())
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One worker assignment: an ordered slice of the fleet's methods.
-
-    ``backend`` names the storage backend the worker must build its
-    universes against (``None`` → the environment default).  Only the
-    *name* crosses the process boundary — a live engine connection
-    (sqlite3) is unpicklable by design; each worker opens its own.
-    """
-
-    shard_id: int
-    specs: tuple[MethodSpec, ...]
-    backend: str | None = None
-    #: record obs spans worker-side and ship them back on the result
-    trace: bool = False
-    #: attribute comp-cache traffic per verdict worker-side (the ``prov``
-    #: field on each MethodVerdict); False adds no payload at all
-    provenance: bool = False
-    #: labels to build into the worker's warm replica catalog before any
-    #: checking (fleet priming): later shards reuse them in place and a
-    #: session attach adopts them instead of rebuilding
-    prebuild: tuple = ()
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for spec in self.specs:
-            if spec.label not in seen:
-                seen.append(spec.label)
-        return tuple(seen)
-
-
 @dataclass
 class MethodVerdict:
     """One method's result, exactly what the serial checker would record."""
@@ -144,14 +109,21 @@ class AttachUniverse:
     """Build (or rebuild, pristine) live label universes in a worker.
 
     The session lifecycle's cold step: each label's subject app is built
-    from scratch, exactly like a one-shot shard rebuild, but the universes
-    then *stay alive* in the worker and subsequent :class:`SessionDelta`
-    messages keep them converged with the engine's universe.  Re-attaching
-    an existing session id replaces its replicas (crash recovery / journal
-    gaps fall back to this).
+    from scratch (or adopted from the worker's pristine replica catalog),
+    and the universes then *stay alive* in the worker while subsequent
+    :class:`SessionDelta` messages keep them converged with the engine's
+    universe.  Re-attaching an existing session id replaces its replicas
+    (crash recovery / journal gaps fall back to this).  A ``None`` session
+    id prebuilds the labels into the catalog and attaches nothing (fleet
+    priming).
+
+    ``backend`` names the storage backend the worker builds against
+    (``None`` → the environment default).  Only the *name* crosses the
+    process boundary — a live engine connection (sqlite3) is unpicklable
+    by design; each worker opens its own.
     """
 
-    session_id: str
+    session_id: str | None
     labels: tuple[str, ...]
     backend: str | None = None
     trace: bool = False
@@ -161,7 +133,7 @@ class AttachUniverse:
 class AttachAck:
     """Attach reply: the replica generations the engine must verify."""
 
-    session_id: str
+    session_id: str | None
     generations: dict[str, int] = field(default_factory=dict)  # label -> gen
     build_s: dict[str, float] = field(default_factory=dict)
     pid: int = 0
@@ -201,19 +173,23 @@ class DeltaAck:
 
 @dataclass(frozen=True)
 class CheckRequest:
-    """Check a method slice against a session's live replicas.
+    """Check a method slice against a worker's live replicas.
 
-    The warm counterpart of :class:`ShardTask`: no rebuild happens — the
-    worker resolves each spec's label to its live replica and runs the
-    same ``check_one`` loop, returning a :class:`ShardResult` (with empty
-    ``build_s``, which is the whole point).
+    With a session id the worker resolves each spec's label to that
+    session's replica; with ``None`` (a cold check) it uses the pristine
+    replica catalog, building a missing label into it against ``backend``
+    (``build_s`` times each label's lookup or build, once per request).
+    Either way it runs the same ``check_one`` loop and returns a
+    :class:`ShardResult`.
     """
 
-    session_id: str
+    session_id: str | None
     shard_id: int
     specs: tuple[MethodSpec, ...] = ()
+    backend: str | None = None
     trace: bool = False
-    #: per-verdict provenance piggyback, exactly like ShardTask.provenance
+    #: attribute comp-cache traffic per verdict worker-side (the ``prov``
+    #: field on each MethodVerdict); False adds no payload at all
     provenance: bool = False
 
 

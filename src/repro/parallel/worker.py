@@ -3,27 +3,21 @@
 Runs inside a spawn-mode child process (every function here must be
 importable from a fresh interpreter — no closures, no inherited state).
 
-Two service styles share the checking loop:
+:func:`session_main` is a stateful dispatch loop over a pipe, keyed by
+session id.  ``AttachUniverse`` builds live label universes once;
+``SessionDelta`` replays schema-journal events and post-build load records
+against them (journal-replay parity: after a delta the replica's generation
+and ``schema_hash()`` equal the engine's); ``CheckRequest`` checks a method
+slice against the warm replicas — no rebuild, which is what makes a
+post-migration ``recheck_dirty`` round cheap at ``workers > 1``.
 
-* **one-shot** (:func:`run_shard`): the worker receives a
-  :class:`ShardTask`, rebuilds each subject app named by the shard's
-  labels from scratch (the cold-check contract: workers verify pristine
-  universes, exactly what a serial cold check of the same app sees), runs
-  ``TypeChecker.check_one`` for every method in shard order, and ships
-  back picklable verdicts together with the dependency footprints the
-  checker recorded — so the parent can back-feed its incremental
-  dependency graph.
-
-* **session** (:func:`session_main`): a stateful dispatch loop over a
-  pipe, keyed by session id.  ``AttachUniverse`` builds live label
-  universes once; ``SessionDelta`` replays schema-journal events and
-  post-build load records against them (journal-replay parity: after a
-  delta the replica's generation and ``schema_hash()`` equal the
-  engine's); ``CheckRequest`` re-checks a method slice against the warm
-  replicas — no rebuild, which is what makes a post-migration
-  ``recheck_dirty`` round cheap at ``workers > 1``.  The loop also serves
-  plain :class:`ShardTask` messages, so a session worker can stand in for
-  a cold fleet worker.
+A cold check is a ``CheckRequest`` with session id ``None``: it runs
+against the process's pristine replica catalog, building each missing label
+once, exactly what a serial cold check of the same app sees.  Verdicts ship
+back together with the dependency footprints the checker recorded, so the
+parent can back-feed its incremental dependency graph.  The catalog also
+seeds session attaches, so a cold round's builds are reused by the next
+warm attach.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from repro.parallel.protocol import (
     SessionDelta,
     SessionError,
     ShardResult,
-    ShardTask,
     Shutdown,
     encode_error,
 )
@@ -83,22 +76,16 @@ def _trace_end(reply, mark: int | None):
 
 
 # ---------------------------------------------------------------------------
-# warm replica catalog: cold builds seed later rounds and session attaches
+# pristine replica catalog: cold checks build into it, attaches adopt from it
 # ---------------------------------------------------------------------------
 
-#: label universes built pristine by cold shards / prebuild tasks, kept for
-#: reuse by later shards and *taken* by session attaches in this process —
+#: label universes built pristine by cold checks / prebuilds, kept for reuse
+#: by later cold checks and *taken* by session attaches in this process —
 #: the cold fleet and the warm sessions build the same apps, so one replica
 #: set serves both.  Keyed by (label, backend name): a replica must never
-#: cross storage backends.
+#: cross storage backends.  Only worker processes (:func:`session_main`)
+#: reach it: the parent checks in-process against its engine's own catalog.
 _WARM_CATALOG: dict[tuple, object] = {}
-
-#: catalog participation is opt-in per process: only session workers flip
-#: this on (in :func:`session_main`).  The parent process also runs
-#: :func:`run_shard` in-process (``workers == 1`` fallback paths), where a
-#: process-lifetime universe cache would leak state across independent
-#: engines and tests.
-_CATALOG_ENABLED = [False]
 
 
 def _catalog_key(label: str, backend: str | None) -> tuple:
@@ -108,21 +95,15 @@ def _catalog_key(label: str, backend: str | None) -> tuple:
 
 
 def _catalog_reusable(rdl) -> bool:
-    """Only pristine replicas may be shared: same guard family as the
-    engine's attach path (generation == pristine, epoch 1, no post-build
-    definitions or loads)."""
-    return (
-        getattr(rdl, "pristine_generation", None) == rdl.db.version
-        and getattr(rdl, "pristine_epoch", 0) == 1
-        and not getattr(rdl, "post_build_methods", None)
-        and not getattr(rdl, "post_build_loads", None)
-    )
+    """Only pristine replicas may be shared: nothing happened to the
+    universe since ``mark_pristine``."""
+    return (rdl.pristine_generation == rdl.db.version
+            and rdl.replay_blocker is None
+            and not rdl.post_build_loads)
 
 
 def _catalog_peek(label: str, backend: str | None):
     """A cataloged pristine replica for reuse in place, or ``None``."""
-    if not _CATALOG_ENABLED[0]:
-        return None
     key = _catalog_key(label, backend)
     rdl = _WARM_CATALOG.get(key)
     if rdl is None:
@@ -143,37 +124,15 @@ def _catalog_take(label: str, backend: str | None):
     return rdl
 
 
-def _catalog_put(label: str, backend: str | None, rdl) -> None:
-    if _CATALOG_ENABLED[0] and _catalog_reusable(rdl):
-        _WARM_CATALOG[_catalog_key(label, backend)] = rdl
-
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Check one shard and return its verdicts (the spawn entry point)."""
+def _catalog_build(label: str, backend: str | None):
+    """The label's cataloged replica, built into the catalog if missing."""
     from repro.apps import app_for_label
 
-    trace_mark = _trace_begin(task)
-    result = ShardResult(shard_id=task.shard_id, pid=os.getpid())
-    universes: dict[str, object] = {}
-
-    def resolve(label: str):
-        rdl = universes.get(label)
-        if rdl is None:
-            build_start = time.perf_counter()
-            rdl = _catalog_peek(label, task.backend)
-            if rdl is None:
-                rdl = app_for_label(label).build(backend=task.backend)
-                _catalog_put(label, task.backend, rdl)
-            result.build_s[label] = time.perf_counter() - build_start
-            universes[label] = rdl
-        return rdl
-
-    with obs_spans.span("shard.run", label=f"shard{task.shard_id}") as sp:
-        sp.set("methods", len(task.specs))
-        for label in getattr(task, "prebuild", ()):
-            resolve(label)
-        check_specs_into(result, resolve, task.specs)
-    return _trace_end(result, trace_mark)
+    rdl = _catalog_peek(label, backend)
+    if rdl is None:
+        rdl = app_for_label(label).build(backend=backend)
+        _WARM_CATALOG[_catalog_key(label, backend)] = rdl
+    return rdl
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +149,6 @@ def session_main(conn) -> None:
     :class:`Shutdown`, a closed pipe, or a dead parent.
     """
     sessions: dict[str, dict[str, object]] = {}
-    # session workers are long-lived, single-session-at-a-time processes:
-    # the warm replica catalog is safe (and is the whole point — a cold
-    # shard's builds seed the next attach)
-    _CATALOG_ENABLED[0] = True
     # spawn children inherit env, not the parent's cells: re-arm any
     # injected faults published through REPRO_FAULTS (fuzz harness)
     obs_faults.load_env()
@@ -230,12 +185,10 @@ def _serve(sessions: dict, message):
     if isinstance(message, SessionDelta):
         return _apply_delta(sessions, message)
     if isinstance(message, CheckRequest):
-        return _check_session(sessions, message)
+        return _check(sessions, message)
     if isinstance(message, DetachSession):
         sessions.pop(message.session_id, None)
         return DetachAck(session_id=message.session_id)
-    if isinstance(message, ShardTask):
-        return run_shard(message)  # the one-shot vocabulary still works
     raise TypeError(f"unknown session message {type(message).__name__}")
 
 
@@ -245,23 +198,28 @@ def _attach(sessions: dict, message: AttachUniverse) -> AttachAck:
     trace_mark = _trace_begin(message)
     replicas: dict[str, object] = {}
     ack = AttachAck(session_id=message.session_id, pid=os.getpid())
-    with obs_spans.span("session.attach", label=message.session_id) as sp:
+    with obs_spans.span("session.attach",
+                        label=message.session_id or "catalog") as sp:
         sp.set("labels", len(message.labels))
         for label in message.labels:
             build_start = time.perf_counter()
-            # adopt a cataloged pristine replica when one exists (built by
-            # an earlier cold shard or prebuild in this process) — the ack
-            # still reports its generation, so the engine's pristine
-            # assertion guards the reuse exactly like a fresh build
-            rdl = _catalog_take(label, message.backend)
-            if rdl is None:
-                rdl = app_for_label(label).build(backend=message.backend)
+            if message.session_id is None:
+                rdl = _catalog_build(label, message.backend)
+            else:
+                # adopt a cataloged pristine replica when one exists (built
+                # by an earlier cold check or prebuild in this process) —
+                # the ack still reports its generation, so the engine's
+                # pristine assertion guards the reuse like a fresh build
+                rdl = _catalog_take(label, message.backend)
+                if rdl is None:
+                    rdl = app_for_label(label).build(backend=message.backend)
             ack.build_s[label] = time.perf_counter() - build_start
             ack.generations[label] = rdl.db.version
             replicas[label] = rdl
-    # replace atomically: a re-attach (crash recovery, journal gap) must
-    # not leave a half-updated session behind a failed build
-    sessions[message.session_id] = replicas
+    if message.session_id is not None:
+        # replace atomically: a re-attach (crash recovery, journal gap) must
+        # not leave a half-updated session behind a failed build
+        sessions[message.session_id] = replicas
     return _trace_end(ack, trace_mark)
 
 
@@ -306,19 +264,31 @@ def _apply_delta(sessions: dict, message: SessionDelta) -> DeltaAck:
     return _trace_end(ack, trace_mark)
 
 
-def _check_session(sessions: dict, message: CheckRequest) -> ShardResult:
+def _check(sessions: dict, message: CheckRequest) -> ShardResult:
     trace_mark = _trace_begin(message)
-    session = _session_of(sessions, message.session_id)
     result = ShardResult(shard_id=message.shard_id, pid=os.getpid())
+    if message.session_id is None:
+        universes: dict[str, object] = {}
 
-    def resolve(label: str):
-        rdl = session.get(label)
-        if rdl is None:
-            raise KeyError(f"session {message.session_id!r} has no replica "
-                           f"for label {label!r}")
-        return rdl
+        def resolve(label: str):
+            rdl = universes.get(label)
+            if rdl is None:
+                build_start = time.perf_counter()
+                rdl = universes[label] = _catalog_build(label, message.backend)
+                result.build_s[label] = time.perf_counter() - build_start
+            return rdl
+    else:
+        session = _session_of(sessions, message.session_id)
 
-    with obs_spans.span("session.check", label=message.session_id) as sp:
+        def resolve(label: str):
+            rdl = session.get(label)
+            if rdl is None:
+                raise KeyError(f"session {message.session_id!r} has no "
+                               f"replica for label {label!r}")
+            return rdl
+
+    with obs_spans.span("session.check",
+                        label=message.session_id or "catalog") as sp:
         sp.set("methods", len(message.specs))
         check_specs_into(result, resolve, message.specs)
     return _trace_end(result, trace_mark)

@@ -92,10 +92,6 @@ class TupleType(_MutableType):
         """Weakly update element ``index`` to include type ``t``."""
         self.elts[index] = make_union([self.elts[index], t])
 
-    def widen_all(self, t: RType) -> None:
-        """Weakly update every element to include ``t`` (e.g. ``push``)."""
-        self.elts = [make_union([e, t]) for e in self.elts]
-
     def promoted(self) -> GenericType:
         """The array type this tuple promotes to: ``Array<t1 or ... or tn>``."""
         if not self.elts:

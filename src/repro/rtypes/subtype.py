@@ -44,23 +44,6 @@ class ConstraintLog:
         """A weak update violated a previously asserted constraint."""
 
 
-def _base_of(t: RType) -> str | None:
-    """The nominal class name underlying ``t``, if any."""
-    if isinstance(t, NominalType):
-        return t.name
-    if isinstance(t, SingletonType):
-        return t.base_name
-    if isinstance(t, GenericType):
-        return t.base
-    if isinstance(t, TupleType):
-        return "Array"
-    if isinstance(t, FiniteHashType):
-        return "Hash"
-    if isinstance(t, ConstStringType):
-        return "String"
-    return None
-
-
 def subtype(
     s: RType,
     t: RType,

@@ -8,25 +8,15 @@ from repro.runtime.objects import (
     RArray,
     RBlock,
     RClass,
-    RHash,
     RMethod,
     RString,
     ruby_eq,
-    ruby_to_s,
 )
 
 
 def native(klass: RClass, name: str, fn, static: bool = False) -> None:
     """Register a Python function as a native method."""
     klass.define(name, RMethod(name, native=fn), static=static)
-
-
-def defnative(interp, class_name: str, name: str, static: bool = False):
-    """Decorator form of :func:`native` for readability in installers."""
-    def wrap(fn):
-        native(interp.classes[class_name], name, fn, static=static)
-        return fn
-    return wrap
 
 
 def arg_or(args: list, index: int, default: object = None) -> object:
@@ -92,30 +82,6 @@ def sort_key(interp):
     return functools.cmp_to_key(lambda x, y: compare_values(interp, x, y))
 
 
-def iterate(interp, block: RBlock, items, name: str):
-    """Run ``block`` over ``items`` Ruby-style, honouring ``break``.
-
-    Returns (broke, break_value, results): ``results`` collects each block
-    invocation's value.
-    """
-    from repro.runtime.interp import BreakSignal
-
-    results = []
-    try:
-        for item in items:
-            results.append(call_block(interp, block, item if isinstance(item, list) else [item]))
-    except BreakSignal as brk:
-        return True, brk.value, results
-    return False, None, results
-
-
-def to_display(value: object) -> str:
-    return ruby_to_s(value)
-
-
 def eq(a: object, b: object) -> bool:
     return ruby_eq(a, b)
 
-
-def new_hash(pairs) -> RHash:
-    return RHash.from_pairs(pairs)

@@ -155,11 +155,6 @@ class RMethod:
 _METHOD_EPOCH = [1]
 
 
-def method_epoch() -> int:
-    """The current global method-table generation."""
-    return _METHOD_EPOCH[0]
-
-
 class RClass:
     """A Ruby class: method tables, superclass link, and class-level state.
 

@@ -160,8 +160,8 @@ class TestWorkerSafety:
         with pytest.raises(TypeError, match="reopen"):
             pickle.dumps(db.backend)
 
-    def test_shard_tasks_carry_the_backend_name(self):
-        from repro.parallel.protocol import ShardTask
+    def test_cold_check_requests_carry_the_backend_name(self):
+        from repro.parallel.protocol import CheckRequest
 
-        task = ShardTask(shard_id=0, specs=(), backend="sqlite")
-        assert pickle.loads(pickle.dumps(task)).backend == "sqlite"
+        request = CheckRequest(None, 0, backend="sqlite")
+        assert pickle.loads(pickle.dumps(request)).backend == "sqlite"

@@ -49,10 +49,15 @@ class TestCalls:
         assert node.receiver.name == "includes"
 
     def test_command_call(self):
-        node = first_stmt("has_many :emails")
-        assert isinstance(node, ast.MethodCall)
-        assert node.name == "has_many"
-        assert isinstance(node.args[0], ast.SymLit)
+        # paren-less calls take their arguments with or without a receiver
+        for source, name in (("has_many :emails", "has_many"),
+                             ("RDL.do_typecheck :model", "do_typecheck")):
+            program = parse_program(source)
+            assert len(program.body) == 1, source
+            node = program.body[0]
+            assert isinstance(node, ast.MethodCall)
+            assert node.name == name
+            assert isinstance(node.args[0], ast.SymLit)
 
     def test_command_call_with_kwargs(self):
         node = first_stmt('type "(String) -> %bool", typecheck: :model')

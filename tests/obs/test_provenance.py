@@ -155,7 +155,7 @@ def test_stale_verdict_reports_its_dirtying_events():
 # ---------------------------------------------------------------------------
 
 def test_disabled_mode_records_nothing_and_ships_no_payload():
-    from repro.parallel.protocol import MethodSpec, ShardResult, ShardTask
+    from repro.parallel.protocol import CheckRequest, MethodSpec, ShardResult
     from repro.parallel.worker import check_specs_into
 
     assert not provenance.enabled()
@@ -166,7 +166,7 @@ def test_disabled_mode_records_nothing_and_ships_no_payload():
     assert len(rdl.incremental.provenance) == 0
     assert provenance.recorded() == 0
     # protocol defaults carry no provenance
-    assert ShardTask(shard_id=0, specs=()).provenance is False
+    assert CheckRequest(None, 0).provenance is False
     # and the worker checking loop leaves every verdict's payload at None
     key = sorted(rdl.incremental.results, key=str)[0]
     spec = MethodSpec(label=LABEL, class_name=key.class_name,

@@ -9,7 +9,7 @@ import os
 
 from repro import obs
 from repro.parallel import check_fleet
-from repro.parallel.protocol import ShardResult, ShardTask
+from repro.parallel.protocol import CheckRequest, ShardResult
 from repro.parallel.worker import _trace_begin, _trace_end
 from repro.runtime.compile import inline_cache_stats
 from repro.runtime.interp import Interp
@@ -51,8 +51,8 @@ def test_traced_request_ships_only_its_own_window():
 
 
 def test_protocol_messages_default_to_untraced():
-    task = ShardTask(shard_id=0, specs=())
-    assert task.trace is False
+    request = CheckRequest(None, 0)
+    assert request.trace is False
     assert ShardResult(shard_id=0).spans == ()
 
 
@@ -73,7 +73,7 @@ def test_fleet_check_collects_spans_from_distinct_worker_pids():
     assert len(worker_pids) >= 2, (
         f"expected spans from >= 2 worker processes, got {worker_pids}")
     # the shard execution spans themselves were recorded worker-side
-    shard_pids = {e["pid"] for e in events if e["name"] == "shard.run"}
+    shard_pids = {e["pid"] for e in events if e["name"] == "session.check"}
     assert shard_pids and os.getpid() not in shard_pids
     # engine-side phases frame them on the same timeline
     names = {e["name"] for e in events}

@@ -114,3 +114,24 @@ def test_all_workers_dead_falls_back_to_serial(monkeypatch):
     assert list(report.checked_methods) == list(baseline.checked_methods)
     assert [str(e) for e in report.errors] == \
         [str(e) for e in baseline.errors]
+
+
+def test_cold_round_reruns_lost_shards_in_process(monkeypatch):
+    # every spawned worker dies on its first CheckRequest: each lost shard
+    # must rerun in-process against the engine's own catalog universes,
+    # and the merged report must still match the serial checks label by
+    # label, in order
+    from repro.parallel import check_fleet
+
+    monkeypatch.setenv("REPRO_FAULTS", "worker.CheckRequest=die::0:0")
+    labels = ["huginn", "journey", "twitter"]
+    run = check_fleet(labels, workers=2)
+    methods, errors = [], []
+    for label in labels:
+        serial = app_for_label(label).build().check(label)
+        methods.extend(serial.checked_methods)
+        errors.extend(str(e) for e in serial.errors)
+    assert list(run.report.checked_methods) == methods
+    assert [str(e) for e in run.report.errors] == errors
+    assert len(run.results) >= 2  # a real fan-out, not the in-process path
+    assert all(result.pid == os.getpid() for result in run.results)

@@ -1,6 +1,7 @@
 """Integration tests: fleet checking, verdict-parity merge, incremental
-back-feed.  Most tests drive the worker protocol in-process (the protocol is
-plain functions); one test exercises real spawn workers end to end.
+back-feed.  Most tests drive the worker checking loop in-process (it is a
+plain function over freshly built universes); one test exercises real
+spawn workers end to end.
 """
 
 import multiprocessing
@@ -12,11 +13,11 @@ from repro.parallel import (
     MethodSpec,
     ParallelCheckEngine,
     ShardGapError,
-    ShardTask,
+    ShardResult,
     merge_report,
     specs_for_labels,
 )
-from repro.parallel.worker import run_shard
+from repro.parallel.worker import check_specs_into
 
 APPS = {app.label: app for app in all_apps()}
 
@@ -34,15 +35,30 @@ def test_app_for_label_resolves_and_rejects():
 
 
 # ---------------------------------------------------------------------------
-# worker protocol + merge, in-process
+# worker checking loop + merge, in-process
 # ---------------------------------------------------------------------------
 
-def test_run_shard_matches_serial_verdicts():
+def _check_fresh(shard_id, specs) -> ShardResult:
+    """Check ``specs`` the way a cold worker does: against freshly built,
+    pristine universes of their labels."""
+    universes: dict = {}
+
+    def resolve(label):
+        if label not in universes:
+            universes[label] = APPS[label].build()
+        return universes[label]
+
+    result = ShardResult(shard_id=shard_id)
+    check_specs_into(result, resolve, specs)
+    return result
+
+
+def test_check_specs_matches_serial_verdicts():
     app = APPS["journey"]
     rdl = app.build()
     serial = rdl.check(app.label)
     specs = specs_for_labels([app.label], lambda _l: rdl.registry)
-    result = run_shard(ShardTask(shard_id=0, specs=tuple(specs)))
+    result = _check_fresh(0, specs)
     report = merge_report(specs, [result])
     assert _serial_key(report) == _serial_key(serial)
     # dependency footprints travel with the verdicts
@@ -54,8 +70,8 @@ def test_merge_is_arrival_order_independent():
     rdl = app.build()
     specs = specs_for_labels([app.label], lambda _l: rdl.registry)
     half = len(specs) // 2
-    first = run_shard(ShardTask(shard_id=0, specs=tuple(specs[:half])))
-    second = run_shard(ShardTask(shard_id=1, specs=tuple(specs[half:])))
+    first = _check_fresh(0, specs[:half])
+    second = _check_fresh(1, specs[half:])
     forward = merge_report(specs, [first, second])
     backward = merge_report(specs, [second, first])
     assert _serial_key(forward) == _serial_key(backward)
@@ -66,7 +82,7 @@ def test_merge_refuses_missing_verdicts():
     app = APPS["huginn"]
     rdl = app.build()
     specs = specs_for_labels([app.label], lambda _l: rdl.registry)
-    partial = run_shard(ShardTask(shard_id=0, specs=tuple(specs[:2])))
+    partial = _check_fresh(0, specs[:2])
     with pytest.raises(ShardGapError):
         merge_report(specs, [partial])
 

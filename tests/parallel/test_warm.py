@@ -184,24 +184,45 @@ end
 def test_loads_that_migrate_the_schema_block_warm_mode():
     # a load whose execution migrates the schema is unbounded: its journal
     # events AND its source would both replay, applying the migration twice
+    from repro.runtime.corelib.helpers import native
+
     warm, serial = _twin_pair("huginn")
     try:
         table = next(iter(warm.db.tables))
         for rdl in (warm, serial):
+            db = rdl.db
+            native(rdl.interp.classes["Object"], "migrate_in_load",
+                   lambda i, r, a, b, db=db: db.add_column(
+                       table, "load_migrated_col", "string"))
             version = rdl.db.version
-            rdl.load("nil")
-            # simulate a migration performed *by* the load (no interp DSL
-            # migrates today, so poke the flag the way load() would set it)
-            rdl.db.add_column(table, "load_migrated_col", "string")
+            rdl.load("migrate_in_load()")
             assert rdl.db.version != version
-            rdl._migrating_loads = True
-        assert warm.post_build_migrating_loads
+        assert "migrated the schema" in warm.replay_blocker
         warm_report = warm.recheck_dirty(workers=2)
         serial_report = serial.recheck_dirty()
         assert _key(warm_report) == _key(serial_report)
         run = warm.warm_engine.last_warm_run
         assert not run.remote
         assert "migrated the schema" in run.fallback_reason
+    finally:
+        warm.shutdown_warm()
+
+
+def test_methods_defined_outside_load_block_warm_mode():
+    # run() executes code without recording it: a method it defines is
+    # missing from the replayable log, so worker replicas could never see it
+    warm, serial = _twin_pair("huginn")
+    try:
+        for rdl in (warm, serial):
+            rdl.run(PROBE_SOURCE)
+        assert "outside load()" in warm.replay_blocker
+        warm_report = warm.recheck_dirty(workers=2)
+        serial_report = serial.recheck_dirty()
+        assert _key(warm_report) == _key(serial_report)
+        assert "WarmSessionProbe.answer" in warm_report.checked_methods
+        run = warm.warm_engine.last_warm_run
+        assert not run.remote
+        assert "outside load()" in run.fallback_reason
     finally:
         warm.shutdown_warm()
 

@@ -15,6 +15,23 @@ def check(source, label=":app", **kwargs):
     return rdl.check(label)
 
 
+def test_check_requests_honours_do_typecheck():
+    # the paper's workflow: the program itself asks for its label's check
+    rdl = fresh()
+    rdl.load("""
+class Greeter
+  type :"self.hi", "() -> Integer", typecheck: :greet
+  def self.hi()
+    1
+  end
+end
+RDL.do_typecheck :greet
+""")
+    report = rdl.check_requests()
+    assert report.checked_methods == ["Greeter.hi"]
+    assert report.ok()
+
+
 class TestBasics:
     def test_simple_method(self):
         report = check("""
