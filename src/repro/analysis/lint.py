@@ -68,6 +68,8 @@ class EffectLinter:
     def __init__(self, registry, interp=None):
         self.registry = registry
         self.interp = interp
+        # non-helper Object methods already followed from a call site
+        self._followed: set[str] = set()
 
     # ------------------------------------------------------------------
     def lint(self) -> list[Diagnostic]:
@@ -193,6 +195,20 @@ class EffectLinter:
                     "COMP003", "error",
                     f"iterator '{node.name}' takes an impure block",
                     owner, node.line, node.col))
+        if node.receiver is None:
+            self._follow_object_method(node.name, findings)
+
+    def _follow_object_method(self, name: str, findings: list) -> None:
+        """Walk the body of a self-call's ``Object`` method, as the dynamic
+        termination checker does (comp helpers are walked by
+        :meth:`_lint_helpers`)."""
+        if name in self.registry.helper_methods or name in self._followed:
+            return
+        self._followed.add(name)
+        body = self.registry.lookup_body("Object", name, False, self.interp)
+        if body is not None:
+            for stmt in body.body:
+                self._walk(stmt, f"Object#{name}", findings)
 
     def _effect_for(self, node: ast.MethodCall):
         """Same best-effort lookup as the dynamic termination checker —

@@ -305,8 +305,8 @@ class CompRDL:
         self.incremental.adopt_static_footprints(report.footprints)
         extra = self.incremental_stats.extra
         counts = report.counts()
-        extra["analysis_diagnostics"] = counts["diagnostics"]
-        extra["analysis_wildcards"] = counts["wildcard_footprints"]
+        extra["analysis.diagnostics"] = counts["diagnostics"]
+        extra["analysis.wildcards"] = counts["wildcard_footprints"]
         return report
 
     # ------------------------------------------------------------------

@@ -79,10 +79,10 @@ class IncrementalScheduler:
             footprint = self.static_footprints.get(key)
             if footprint is None:
                 affected.add(key)
-                self._bump_extra("analysis_conservative_dirtied")
+                self.stats.bump("analysis.conservative_dirtied")
             elif footprint.affected_by(changed):
                 affected.add(key)
-                self._bump_extra("analysis_static_dirtied")
+                self.stats.bump("analysis.static_dirtied")
         fresh = affected - self.dirty
         self.dirty |= affected
         self.stats.methods_dirtied += len(fresh)
@@ -94,11 +94,8 @@ class IncrementalScheduler:
         their static footprint is affected by a schema change, instead of
         never (unsound) or always (wasteful)."""
         self.static_footprints.update(footprints)
-        self.stats.extra["analysis_footprints_seeded"] = \
+        self.stats.extra["analysis.footprints_seeded"] = \
             len(self.static_footprints)
-
-    def _bump_extra(self, key: str) -> None:
-        self.stats.extra[key] = self.stats.extra.get(key, 0) + 1
 
     def on_method_change(self, key) -> None:
         """A ``load`` redefined a method or added an annotation: its cached

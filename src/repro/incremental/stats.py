@@ -8,7 +8,6 @@ many method re-checks were skipped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 #: weight of the newest observation in the per-method cost EWMA.  One noisy
@@ -16,27 +15,6 @@ from dataclasses import dataclass, field
 #: genuine cost shift should dominate within a few rounds: at 0.4 the last
 #: three observations carry ~78% of the weight.
 COST_EWMA_ALPHA = 0.4
-
-#: free-form ``extra`` counter -> its stable snapshot key.  Extras the map
-#: does not know land under ``extra.<key>`` so nothing is silently dropped.
-_EXTRA_KEYS = {
-    "split_bias": "planner.split_bias",
-    "warm_worker_retries": "warm.retries",
-    "warm_fallbacks": "warm.fallbacks",
-    "warm_fallback_reason": "warm.fallback_reason",
-    # bumped by the provenance ledger whenever a re-check changes a
-    # method's error set (see repro.obs.provenance)
-    "verdict_flips": "provenance.flips",
-    # static-analysis consumers (see repro.analysis)
-    "analysis_footprints_seeded": "analysis.footprints_seeded",
-    "analysis_static_dirtied": "analysis.static_dirtied",
-    "analysis_conservative_dirtied": "analysis.conservative_dirtied",
-    "analysis_static_costs": "analysis.static_costs",
-    "analysis_syncs_skipped": "analysis.syncs_skipped",
-    "analysis_diagnostics": "analysis.diagnostics",
-    "analysis_wildcards": "analysis.wildcards",
-}
-
 
 @dataclass
 class IncrementalStats:
@@ -65,9 +43,16 @@ class IncrementalStats:
     # cost model reads this
     method_costs: dict = field(default_factory=dict)
 
+    # free-form counters (warm fallbacks, analysis consumers, verdict
+    # flips, …), keyed by their stable snapshot names
     extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    def bump(self, key: str, n: int = 1) -> None:
+        """Increment the free-form counter ``key`` (a stable snapshot
+        name such as ``"warm.fallbacks"``)."""
+        self.extra[key] = self.extra.get(key, 0) + n
+
     def observe_cost(self, desc: str, seconds: float) -> float:
         """Fold one observed method-check wall time into the cost model.
 
@@ -110,8 +95,10 @@ class IncrementalStats:
 
         These keys are the public contract consumed by benchmarks,
         ``obs.metrics_snapshot()`` and downstream charting — rename only
-        with a deprecation story.  Extra (free-form) counters appear under
-        their mapped names (see ``_EXTRA_KEYS``) or ``extra.<key>``.
+        with a deprecation story.  ``extra`` is keyed by stable names
+        already and merges in as is; ``planner.split_bias``,
+        ``warm.retries`` and ``warm.fallbacks`` are present even before
+        anything sets them.
         """
         snap = {
             "comp_cache.hits": self.comp_hits,
@@ -136,12 +123,8 @@ class IncrementalStats:
             "warm.retries": 0,
             "warm.fallbacks": 0,
         }
-        for key, value in self.extra.items():
-            snap[_EXTRA_KEYS.get(key, f"extra.{key}")] = value
+        snap.update(self.extra)
         return snap
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
 
     def summary(self) -> str:
         parallel = ""
@@ -165,15 +148,3 @@ class IncrementalStats:
             f"{self.schema_events} schema events"
             f"{parallel}"
         )
-
-    def reset(self) -> None:
-        for name in (
-            "comp_hits", "comp_misses", "comp_revalidations",
-            "comp_invalidations", "comp_evictions", "ast_hits", "ast_misses",
-            "methods_checked", "methods_skipped", "methods_dirtied",
-            "schema_events", "methods_checked_parallel", "parallel_shards",
-            "parallel_rounds",
-        ):
-            setattr(self, name, 0)
-        self.method_costs.clear()
-        self.extra.clear()

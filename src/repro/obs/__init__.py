@@ -48,8 +48,6 @@ from repro.obs.spans import (
     drain,
     enable,
     enabled,
-    env_enabled,
-    env_trace_path,
     event,
     events,
     mark,
@@ -58,11 +56,12 @@ from repro.obs.spans import (
     span,
     traced,
 )
+from repro.obs.state import env_switch
 
 __all__ = [
     "ExportPathError", "NULL_SPAN", "Span", "absorb", "buffered", "bump",
     "chrome_trace", "counters", "disable", "drain", "enable", "enabled",
-    "env_enabled", "env_trace_path", "event", "events",
+    "event", "events",
     "export_chrome_trace", "faults", "mark", "metrics_diff",
     "metrics_snapshot",
     "open_export", "phase_summary", "provenance", "render_summary", "reset",
@@ -82,9 +81,9 @@ def _bootstrap_from_env() -> None:
     """Honour ``REPRO_TRACE`` and ``REPRO_PROVENANCE`` at import: enable
     recording, and when a value names a path, export there at exit — but
     only from the *main* process."""
-    if env_enabled():
+    on, path = env_switch("REPRO_TRACE")
+    if on:
         enable()
-        path = env_trace_path()
         if path is not None and not _in_worker_process():
             import atexit
 
@@ -92,9 +91,9 @@ def _bootstrap_from_env() -> None:
                 export_chrome_trace(path, metrics=metrics_snapshot())
 
             atexit.register(_export_trace)
-    if provenance.env_enabled():
+    on, prov_path = env_switch("REPRO_PROVENANCE")
+    if on:
         provenance.enable()
-        prov_path = provenance.env_export_path()
         if prov_path is not None and not _in_worker_process():
             import atexit
 

@@ -2,30 +2,51 @@
 
 Before this module each layer reported numbers its own way —
 ``IncrementalStats`` attributes, ``WarmRun`` diagnostics, VM counters that
-were simply invisible.  :func:`metrics_snapshot` merges them all into one
-flat dict with dotted, **stable** key names:
+were simply invisible.  :func:`metrics_snapshot` merges the two counter
+homes — per-universe :class:`~repro.incremental.stats.IncrementalStats`
+and the process-wide registry (:data:`repro.obs.state.COUNTERS`) — into
+one flat dict with dotted, **stable** key names:
 
 * ``comp_cache.*`` / ``ast_cache.*`` / ``methods.*`` / ``schema.*`` /
-  ``fleet.*`` / ``planner.*`` / ``warm.*`` — from the
-  :class:`~repro.incremental.stats.IncrementalStats` sources passed in
-* ``vm.inline_cache.hits`` / ``.misses`` / ``.hit_rate`` — the compiled
-  backend's per-call-site inline caches (process-wide)
-* ``membership.*`` — the compiled membership predicates' compile counts,
-  predicate-cache shares and nominal inline caches (process-wide)
+  ``fleet.*`` / ``planner.*`` / ``warm.*`` / ``analysis.*`` /
+  ``provenance.flips`` — from the ``IncrementalStats`` sources passed in
+* ``counters.<name>`` — every process-wide counter (VM inline caches,
+  compiled membership, subtype queries, comp-eval hits, db row ops, …)
+* ``vm.*`` / ``membership.*`` / ``fuzz.*`` / ``faults.*`` / ``sessions.*``
+  — those prefixes' counters again under their bare names.  The VM's
+  ``vm.inline_cache.{hits,misses,hit_rate}`` and compiled membership's
+  ``membership.{compiles,pred_cache_hits,ic_hits,ic_misses,ic_hit_rate}``
+  are always present (zero until tracing counts them); the two hit rates
+  derive from the registry
 * ``intern.types`` / ``intern.fingerprints`` / ``intern.envs`` — the
   hash-consing table sizes (process-wide)
-* ``counters.<name>`` — every live :func:`repro.obs.spans.bump` counter
-  (subtype queries, comp-eval hits, db row ops, …)
 
-Imports of the instrumented layers are lazy (inside the function): this
-module is imported by ``repro.obs.__init__``, which hot paths pull in via
-``repro.obs.state`` — a top-level import of ``repro.runtime.compile`` here
-would complete that cycle.
+Imports of the instrumented layers are lazy (inside the function): even
+the leaf ``repro.obs.state`` import runs ``repro.obs.__init__``, which
+imports this module, so a top-level import of a layer that itself imports
+``repro.obs`` would complete a cycle.
 """
 
 from __future__ import annotations
 
 from repro.obs import spans
+
+#: counter prefixes exported under their bare name as well as
+#: ``counters.<name>``
+_BARE_PREFIXES = ("vm", "membership", "fuzz", "faults", "sessions")
+
+#: bare counter keys every snapshot carries, zero until first bumped
+_ZERO_KEYS = (
+    "vm.inline_cache.hits", "vm.inline_cache.misses",
+    "membership.compiles", "membership.pred_cache_hits",
+    "membership.ic_hits", "membership.ic_misses",
+)
+
+
+def _rate(counters: dict, hits: str, misses: str) -> float:
+    hit = counters.get(hits, 0)
+    total = hit + counters.get(misses, 0)
+    return round(hit / total, 4) if total else 0.0
 
 
 def metrics_snapshot(*sources) -> dict:
@@ -47,24 +68,6 @@ def metrics_snapshot(*sources) -> dict:
             else:
                 snap[key] = value
 
-    from repro.runtime.compile import inline_cache_stats
-    ic = inline_cache_stats()
-    lookups = ic["hits"] + ic["misses"]
-    snap["vm.inline_cache.hits"] = ic["hits"]
-    snap["vm.inline_cache.misses"] = ic["misses"]
-    snap["vm.inline_cache.hit_rate"] = (
-        round(ic["hits"] / lookups, 4) if lookups else 0.0)
-
-    from repro.runtime.member_compile import membership_stats
-    ms = membership_stats()
-    probes = ms["ic_hits"] + ms["ic_misses"]
-    snap["membership.compiles"] = ms["compiles"]
-    snap["membership.pred_cache_hits"] = ms["pred_cache_hits"]
-    snap["membership.ic_hits"] = ms["ic_hits"]
-    snap["membership.ic_misses"] = ms["ic_misses"]
-    snap["membership.ic_hit_rate"] = (
-        round(ms["ic_hits"] / probes, 4) if probes else 0.0)
-
     # repro.rtypes.__init__ re-exports the intern *function* under the same
     # name as the submodule, so plain ``import repro.rtypes.intern as ...``
     # resolves to the function; go through importlib for the module itself
@@ -74,13 +77,20 @@ def metrics_snapshot(*sources) -> dict:
     snap["intern.fingerprints"] = intern_tables.fingerprint_count()
     snap["intern.envs"] = intern_tables.env_count()
 
-    for name, value in spans.counters().items():
+    counters = spans.counters()
+    for name, value in counters.items():
         snap[f"counters.{name}"] = value
-        # robustness counters get first-class dotted keys alongside the
-        # generic counters.* namespace: dashboards watching the fuzzer or
-        # fault-injection harness shouldn't depend on the prefix
-        if name.split(".", 1)[0] in ("fuzz", "faults", "sessions"):
+        # these prefixes also get first-class dotted keys alongside the
+        # generic counters.* namespace: dashboards watching the VM, the
+        # fuzzer or the fault harness shouldn't depend on the prefix
+        if name.split(".", 1)[0] in _BARE_PREFIXES:
             snap[name] = value
+    for name in _ZERO_KEYS:
+        snap.setdefault(name, 0)
+    snap["vm.inline_cache.hit_rate"] = _rate(
+        counters, "vm.inline_cache.hits", "vm.inline_cache.misses")
+    snap["membership.ic_hit_rate"] = _rate(
+        counters, "membership.ic_hits", "membership.ic_misses")
 
     snap["obs.enabled"] = spans.enabled()
     snap["obs.buffered_events"] = spans.buffered()

@@ -33,7 +33,6 @@ asked for it and ``None`` otherwise — a disabled round adds zero payload.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -42,10 +41,6 @@ from repro.obs.state import PROVENANCE
 #: flips retained per method — enough to answer "what changed it lately"
 #: without letting a migration-storm benchmark grow history without bound
 FLIP_HISTORY_LIMIT = 8
-
-_ENV_VAR = "REPRO_PROVENANCE"
-_ENV_OFF = ("", "0", "false", "off")
-_ENV_ON = ("1", "true", "on")
 
 #: every ledger that has recorded at least one verdict this process —
 #: the ``REPRO_PROVENANCE=path`` atexit export merges them.  Registration
@@ -72,21 +67,6 @@ def disable() -> None:
 
 def set_enabled(on: bool) -> None:
     PROVENANCE[0] = bool(on)
-
-
-def env_enabled() -> bool:
-    """Whether ``REPRO_PROVENANCE`` asks for recording (workers re-check
-    this: spawn children inherit the environment, not the parent's flag)."""
-    return os.environ.get(_ENV_VAR, "").lower() not in _ENV_OFF
-
-
-def env_export_path() -> str | None:
-    """The JSONL export path ``REPRO_PROVENANCE`` names, if it names one
-    (any value that is not a plain on/off token is treated as a path)."""
-    value = os.environ.get(_ENV_VAR, "")
-    if value.lower() in _ENV_OFF or value.lower() in _ENV_ON:
-        return None
-    return value
 
 
 def reset() -> None:
@@ -253,8 +233,7 @@ class ProvenanceLedger:
             })
             del flips[:-FLIP_HISTORY_LIMIT]
             if self.stats is not None:
-                extra = self.stats.extra
-                extra["verdict_flips"] = extra.get("verdict_flips", 0) + 1
+                self.stats.bump("provenance.flips")
         entry = VerdictRecord(
             desc=desc,
             producer=dict(producer) if producer else {"kind": "fresh"},

@@ -26,23 +26,15 @@ import os
 import threading
 import time
 
-from repro.obs.state import ENABLED
+from repro.obs.state import COUNTERS, ENABLED, bump
 
 #: buffered trace events (chrome trace_event dicts), drained by exporters
 #: and by workers shipping spans back to the engine
 _EVENTS: list[dict] = []
 
-#: named counters (subtype queries, comp-eval hits, db row ops, …); callers
-#: guard bumps behind ``ENABLED[0]`` so disabled runs never touch the dict
-_COUNTERS: dict[str, int] = {}
-
 #: buffer hard cap: a tracing-enabled run that never exports must not grow
 #: without bound; overflow drops new events and counts them
 _MAX_EVENTS = 500_000
-
-_ENV_VAR = "REPRO_TRACE"
-_ENV_OFF = ("", "0", "false", "off")
-_ENV_ON = ("1", "true", "on")
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +56,6 @@ def disable() -> None:
 
 def set_enabled(on: bool) -> None:
     ENABLED[0] = bool(on)
-
-
-def env_enabled() -> bool:
-    """Whether ``REPRO_TRACE`` asks for tracing (workers re-check this:
-    spawn children inherit the environment, not the parent's flag)."""
-    return os.environ.get(_ENV_VAR, "").lower() not in _ENV_OFF
-
-
-def env_trace_path() -> str | None:
-    """The export path ``REPRO_TRACE`` names, if it names one (any value
-    that is not a plain on/off token is treated as a path)."""
-    value = os.environ.get(_ENV_VAR, "")
-    if value.lower() in _ENV_OFF or value.lower() in _ENV_ON:
-        return None
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +96,18 @@ def buffered() -> int:
 
 
 def reset() -> None:
-    """Clear the buffer and every counter (tests / fresh capture runs)."""
+    """Clear the buffer and every process-wide counter — VM inline caches
+    and compiled membership included (tests / fresh capture runs)."""
     _EVENTS.clear()
-    _COUNTERS.clear()
+    COUNTERS.clear()
 
 
 # ---------------------------------------------------------------------------
 # counters
 # ---------------------------------------------------------------------------
 
-def bump(name: str, n: int = 1) -> None:
-    """Increment a named counter.  Hot callers must guard with
-    ``if ENABLED[0]:`` themselves — the check is deliberately not repeated
-    here so cold callers can bump unconditionally."""
-    _COUNTERS[name] = _COUNTERS.get(name, 0) + n
-
-
 def counters() -> dict[str, int]:
-    return dict(_COUNTERS)
+    return dict(COUNTERS)
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,7 @@ class ParallelCheckEngine:
             self.split_bias = min(self.split_bias * imbalance, SPLIT_BIAS_MAX)
         else:
             self.split_bias = max(1.0, self.split_bias * SPLIT_BIAS_DECAY)
-        self.stats.extra["split_bias"] = self.split_bias
+        self.stats.extra["planner.split_bias"] = self.split_bias
 
     # ------------------------------------------------------------------
     # warm sessions: attach / migrate / recheck_dirty
@@ -499,9 +499,7 @@ class ParallelCheckEngine:
                 # every pending method's static footprint is disjoint from
                 # the un-synced journal delta: checking on the stale
                 # replicas yields identical verdicts, so the sync can wait
-                extra = scheduler.stats.extra
-                extra["analysis_syncs_skipped"] = \
-                    extra.get("analysis_syncs_skipped", 0) + 1
+                scheduler.stats.bump("analysis.syncs_skipped")
                 obs_spans.event("warm.sync_skipped",
                                 args={"pending": len(pending)})
             else:
@@ -665,9 +663,8 @@ class ParallelCheckEngine:
 
     def _fallback_serial(self, scheduler, reason: str,
                          serial) -> TypeErrorReport:
-        extra = scheduler.stats.extra
-        extra["warm_fallbacks"] = extra.get("warm_fallbacks", 0) + 1
-        extra["warm_fallback_reason"] = reason
+        scheduler.stats.bump("warm.fallbacks")
+        scheduler.stats.extra["warm.fallback_reason"] = reason
         self.last_warm_run = WarmRun(remote=False, fallback_reason=reason)
         return serial()
 
@@ -848,9 +845,7 @@ class ParallelCheckEngine:
                 break  # no progress: stop before spinning on a sick fleet
             failed = still_failed
         if retries:
-            extra = self.stats.extra
-            extra["warm_worker_retries"] = (
-                extra.get("warm_worker_retries", 0) + retries)
+            self.stats.bump("warm.retries", retries)
         return results, retries
 
 

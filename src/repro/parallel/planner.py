@@ -76,8 +76,7 @@ def method_cost(spec: MethodSpec, registry=None, stats=None,
         weight = static_costs.get(spec.desc)
         if weight is not None:
             if stats is not None:
-                stats.extra["analysis_static_costs"] = \
-                    stats.extra.get("analysis_static_costs", 0) + 1
+                stats.bump("analysis.static_costs")
             return BASE_METHOD_COST * weight
     sites = 0
     if registry is not None:

@@ -29,6 +29,7 @@ from repro.incremental.versioning import SchemaEvent
 from repro.obs import faults as obs_faults
 from repro.obs import provenance as obs_prov
 from repro.obs import spans as obs_spans
+from repro.obs.state import env_switch
 
 _FAULTS_ON = obs_faults.ENABLED  # cached cell: zero-cost guard when off
 from repro.parallel.protocol import (
@@ -62,9 +63,9 @@ def _trace_begin(message) -> int | None:
     :func:`check_specs_into` follows each request.
     """
     obs_spans.set_enabled(bool(getattr(message, "trace", False))
-                          or obs_spans.env_enabled())
+                          or env_switch("REPRO_TRACE")[0])
     obs_prov.set_enabled(bool(getattr(message, "provenance", False))
-                         or obs_prov.env_enabled())
+                         or env_switch("REPRO_PROVENANCE")[0])
     return obs_spans.mark() if obs_spans.enabled() else None
 
 

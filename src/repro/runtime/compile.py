@@ -33,6 +33,7 @@ import weakref
 
 from repro.lang import ast_nodes as ast
 from repro.obs.state import ENABLED as _OBS_ON
+from repro.obs.state import bump
 from repro.rtypes.kinds import Sym
 from repro.runtime.errors import RubyError
 from repro.runtime.interp import (
@@ -65,24 +66,6 @@ from repro.runtime.objects import (
 _CACHEABLE_TYPES = frozenset(
     (int, float, RString, RArray, RHash, Sym, RRange, RBlock))
 
-#: inline-cache [hits, misses].  Collected only while observability is
-#: enabled (``_OBS_ON[0]``) so the disabled dispatch fast path stays
-#: untouched; ``obs.metrics_snapshot()`` reads these as
-#: ``vm.inline_cache.hits`` / ``.misses``.
-_IC_STATS = [0, 0]
-
-
-def inline_cache_stats() -> dict:
-    """Hit/miss counts for the per-call-site inline caches (process-wide,
-    counted only while ``repro.obs`` is enabled)."""
-    return {"hits": _IC_STATS[0], "misses": _IC_STATS[1]}
-
-
-def reset_inline_cache_stats() -> None:
-    _IC_STATS[0] = 0
-    _IC_STATS[1] = 0
-
-
 def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
     """Checked-call-aware dispatch with a per-call-site inline cache.
 
@@ -104,7 +87,7 @@ def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
         method = cache[4]()
         if method is not None:
             if _OBS_ON[0]:
-                _IC_STATS[0] += 1
+                bump("vm.inline_cache.hits")
             if method.native is not None:
                 return method.native(i, recv, args, block)
             return i.invoke(method, recv, args, block, line)
@@ -132,7 +115,7 @@ def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
             line))
     if t in _CACHEABLE_TYPES:
         if _OBS_ON[0]:
-            _IC_STATS[1] += 1
+            bump("vm.inline_cache.misses")
         method_ref = method.wref
         if method_ref is None:
             method_ref = method.wref = weakref.ref(method)

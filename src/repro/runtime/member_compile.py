@@ -37,6 +37,7 @@ check routed through it to pin verdict and Blame parity.
 from __future__ import annotations
 
 from repro.obs.state import ENABLED as _OBS_ON
+from repro.obs.state import bump
 from repro.rtypes import (
     AnyType,
     BotType,
@@ -77,30 +78,6 @@ _IC_TYPES = frozenset((int, float, RString, RArray, RHash, Sym, RBlock))
 #: distinguishes "not cached" from a cached ``False`` verdict
 _MISS = object()
 
-#: [compiles, predicate-cache shares, nominal IC hits, nominal IC misses].
-#: Compiles are always counted (rare by design); the per-check counters
-#: only while observability is enabled, so the disabled fast path stays
-#: untouched.  ``obs.metrics_snapshot()`` exports
-#: these as ``membership.*``.
-_STATS = [0, 0, 0, 0]
-
-
-def membership_stats() -> dict:
-    """Counters for the compiled-membership layer (process-wide; per-check
-    counts collected only while ``repro.obs`` is enabled)."""
-    return {
-        "compiles": _STATS[0],
-        "pred_cache_hits": _STATS[1],
-        "ic_hits": _STATS[2],
-        "ic_misses": _STATS[3],
-    }
-
-
-def reset_membership_stats() -> None:
-    for i in range(len(_STATS)):
-        _STATS[i] = 0
-
-
 def predicate_for(t: RType):
     """The compiled membership predicate for ``t``: ``fn(interp, value)``.
 
@@ -111,7 +88,7 @@ def predicate_for(t: RType):
     pred = t._pred
     if pred is not None:
         if _OBS_ON[0]:
-            _STATS[1] += 1
+            bump("membership.pred_cache_hits")
         return pred
     canon = try_intern(t)
     if canon is not None and canon is not t:
@@ -139,7 +116,8 @@ def _false(interp, value):
 
 
 def _compile(t: RType):
-    _STATS[0] += 1
+    if _OBS_ON[0]:
+        bump("membership.compiles")
     cls = t.__class__
     if cls is AnyType or cls is VarType:
         return _true
@@ -272,7 +250,7 @@ def _compile_nominal(name: str):
                 verdict = _cache[2].get(t, _MISS)
                 if verdict is not _MISS:
                     if _OBS_ON[0]:
-                        _STATS[2] += 1
+                        bump("membership.ic_hits")
                     return verdict
             else:
                 _cache[0] = interp.weak_self
@@ -280,7 +258,7 @@ def _compile_nominal(name: str):
                 _cache[2] = {}
             verdict = _nominal_member(interp, value, _name)
             if _OBS_ON[0]:
-                _STATS[3] += 1
+                bump("membership.ic_misses")
             _cache[2][t] = verdict
             return verdict
         return _nominal_member(interp, value, _name)

@@ -42,7 +42,7 @@ class TestSchedulerStaticDirty:
         # ...but touching a table its static footprint names must
         rdl.db.add_column("users", "probe", "string")
         assert key in scheduler.dirty
-        assert rdl.incremental_stats.extra.get("analysis_static_dirtied",
+        assert rdl.incremental_stats.extra.get("analysis.static_dirtied",
                                                0) >= 1
 
     def test_depless_verdict_without_footprint_dirtied_conservatively(
@@ -56,7 +56,7 @@ class TestSchedulerStaticDirty:
         # answer is "affected"
         assert key in scheduler.dirty
         assert rdl.incremental_stats.extra.get(
-            "analysis_conservative_dirtied", 0) >= 1
+            "analysis.conservative_dirtied", 0) >= 1
 
     def test_rename_table_dirties_by_static_footprint(self, rdl):
         """A rename_table journal event carries the new name as its
@@ -204,7 +204,7 @@ class TestWarmDeltaSkip:
 
             report = rdl.recheck_dirty(workers=2)
             extra = rdl.incremental_stats.extra
-            assert extra.get("analysis_syncs_skipped", 0) == 1
+            assert extra.get("analysis.syncs_skipped", 0) == 1
             assert len(report.errors) == app.expected_errors
         finally:
             rdl.shutdown_warm()

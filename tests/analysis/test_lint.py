@@ -4,6 +4,21 @@ import pytest
 
 from repro import CompRDL, Database
 from repro.analysis.lint import EffectLinter, lint_universe
+from repro.rtypes import CompExpr
+from repro.typecheck.errors import TerminationError
+
+#: a plain Object method (not a comp_helper) that loops
+SPIN_FOREVER = "def spin_forever\n  while true\n  end\n  Integer\nend\n"
+
+#: every comp the dynamic termination checker rejects in
+#: tests/comp/test_comp_engine.py::TestTermination, plus the
+#: non-helper-loop case — (source loaded first, comp code)
+REJECTED_COMPS = {
+    "while": ("", "while true\nend\nInteger"),
+    "impure_block": ("", "a = [1,2,3]\na.map { |v| a.push(4) }\nInteger"),
+    "gvar_write_in_block": ("", "[1].each { |v| $x = v }\nInteger"),
+    "object_method_loop": (SPIN_FOREVER, "spin_forever()"),
+}
 
 
 @pytest.fixture
@@ -47,7 +62,45 @@ class TestCompLint:
         assert len([f for f in findings if f.rule == "COMP001"]) == 2
 
 
+    def test_loop_in_called_object_method_reported(self, rdl):
+        rdl.load(SPIN_FOREVER)
+        linter = EffectLinter(rdl.registry, rdl.interp)
+        findings = linter.lint_comp("spin_forever()", "T#m")
+        assert rules_of(findings) == {"COMP001"}
+        assert findings[0].owner == "Object#spin_forever"
+        # each followed method is walked once per linter
+        assert linter.lint_comp("spin_forever()", "T#n") == []
+
+
+@pytest.mark.parametrize("source,code", REJECTED_COMPS.values(),
+                         ids=REJECTED_COMPS)
+def test_lint_flags_every_dynamically_rejected_comp(rdl, source, code):
+    """lint ⊇ dynamic: a comp the termination checker rejects gets a
+    COMP001–003 error from the static lint."""
+    if source:
+        rdl.load(source)
+    with pytest.raises(TerminationError):
+        rdl.checker.engine.evaluate(CompExpr(code), {})
+    findings = EffectLinter(rdl.registry, rdl.interp).lint_comp(code, "T#m")
+    assert {f.rule for f in findings if f.severity == "error"} & \
+        {"COMP001", "COMP002", "COMP003"}
+
+
 class TestUniverseLint:
+    def test_annotation_calling_looping_object_method_surfaces(self, rdl):
+        rdl.load(SPIN_FOREVER)
+        rdl.load(
+            'class User < ActiveRecord::Base\n'
+            '  type "() -> {| spin_forever() |}", typecheck: :demo\n'
+            '  def risky\n'
+            '    1\n'
+            '  end\n'
+            'end\n')
+        diagnostics = lint_universe(rdl)
+        assert [(d.rule, d.owner) for d in diagnostics
+                if d.severity == "error"] == [("COMP001",
+                                               "Object#spin_forever")]
+
     def test_annotation_comp_violation_surfaces(self, rdl):
         # Widget is not a core class, so Widget.fetch_all gets the
         # conservative (-, -) default effect — exactly what the dynamic

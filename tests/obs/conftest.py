@@ -4,7 +4,6 @@ import pytest
 
 from repro import obs
 from repro.obs import provenance
-from repro.runtime.compile import reset_inline_cache_stats
 
 
 @pytest.fixture(autouse=True)
@@ -18,10 +17,8 @@ def _obs_isolation(monkeypatch):
     prov_enabled = provenance.enabled()
     obs.reset()
     provenance.reset()
-    reset_inline_cache_stats()
     yield
     obs.reset()
     provenance.reset()
-    reset_inline_cache_stats()
     obs.set_enabled(was_enabled)
     provenance.set_enabled(prov_enabled)

@@ -30,24 +30,21 @@ def test_incremental_stats_snapshot_has_stable_keys():
 def test_snapshot_reflects_counters_and_extra_mapping():
     stats = IncrementalStats(comp_hits=3, comp_misses=1, methods_checked=4,
                              methods_skipped=12)
-    stats.extra["warm_worker_retries"] = 2
-    stats.extra["split_bias"] = 1.5
-    stats.extra["unmapped_thing"] = 9
+    stats.bump("warm.retries", 2)
+    stats.bump("analysis.static_dirtied")
+    stats.bump("analysis.static_dirtied")
+    stats.extra["planner.split_bias"] = 1.5
     snap = stats.snapshot()
     assert snap["comp_cache.hits"] == 3
     assert snap["comp_cache.hit_rate"] == 0.75
     assert snap["methods.reuse_rate"] == 0.75
-    # free-form extras land under their mapped stable names...
+    # free-form extras are keyed by their stable names and override the
+    # always-present defaults...
     assert snap["warm.retries"] == 2
     assert snap["planner.split_bias"] == 1.5
-    # ...and unknown ones are preserved, not dropped
-    assert snap["extra.unmapped_thing"] == 9
-
-
-def test_to_json_round_trips():
-    stats = IncrementalStats(comp_hits=5)
-    decoded = json.loads(stats.to_json())
-    assert decoded == stats.snapshot()
+    # ...and extras beyond the fixed key set are preserved, not dropped
+    assert snap["analysis.static_dirtied"] == 2
+    assert set(snap) == STATS_KEYS | {"analysis.static_dirtied"}
 
 
 def test_metrics_snapshot_unifies_every_layer():
@@ -75,6 +72,42 @@ end
     assert snap.get("counters.subtype.queries", 0) > 0
     # and the whole thing is JSON-serializable as-is
     json.dumps(snap)
+
+
+#: the VM and compiled-membership keys every snapshot carries
+PROCESS_KEYS = (
+    "vm.inline_cache.hits", "vm.inline_cache.misses",
+    "vm.inline_cache.hit_rate",
+    "membership.compiles", "membership.pred_cache_hits",
+    "membership.ic_hits", "membership.ic_misses", "membership.ic_hit_rate",
+)
+
+
+def test_reset_clears_every_process_wide_counter():
+    from repro.rtypes import NominalType
+    from repro.runtime.member_compile import predicate_for
+
+    obs.enable()
+    rdl = CompRDL()
+    # an inline-cached call site (monomorphic, RString receiver)...
+    rdl.interp.run('i = 0\nwhile i < 5\n  i = i + "ab".length()\nend\ni')
+    # ...and a nominal membership check on a never-compiled type
+    rtype = NominalType("ObsResetCounterProbe")
+    predicate = predicate_for(rtype)
+    predicate(rdl.interp, 3)
+    predicate(rdl.interp, 3)
+    predicate_for(rtype)
+    snap = obs.metrics_snapshot()
+    assert all(snap[key] > 0 for key in PROCESS_KEYS), snap
+    assert all(snap[f"counters.{key}"] == snap[key]
+               for key in PROCESS_KEYS if not key.endswith("hit_rate"))
+
+    obs.reset()
+    snap = obs.metrics_snapshot()
+    assert {key: snap[key] for key in PROCESS_KEYS} == \
+        dict.fromkeys(PROCESS_KEYS, 0)
+    assert not any(key.startswith(("counters.vm.", "counters.membership."))
+                   for key in snap)
 
 
 def test_metrics_snapshot_merges_multiple_sources():
@@ -147,3 +180,33 @@ end
     rdl.check_all("probe")
     diff = obs.metrics_diff(before, rdl.metrics_snapshot())
     assert diff.get("methods.checked", 0) == 0
+
+
+def test_perfbench_ledger_counter_keys_move_on_a_traced_cycle():
+    """perfbench's per-layer ledger reads these snapshot keys with
+    ``counters.get(key, 0)``: a renamed key would silently read as zero,
+    so one traced build/check/checked-suite cycle must move every one."""
+    from repro.apps import all_apps
+
+    obs.enable()
+    obs.reset()
+    before = obs.metrics_snapshot()
+    app = next(app for app in all_apps() if app.label == "journey")
+    rdl = app.build()
+    rdl.check(app.label)
+    rdl.run(app.test_suite, checks=True)
+    diff = obs.metrics_diff(before, obs.metrics_snapshot())
+    for key in ("counters.comp.eval.hits", "counters.subtype.queries",
+                "membership.ic_hits", "membership.ic_misses"):
+        assert diff.get(key, 0) > 0, key
+
+
+def test_subtype_memo_hits_key_moves_on_a_repeated_query():
+    from repro.rtypes import NominalType, intern
+    from repro.rtypes.subtype import subtype
+
+    obs.enable()
+    obs.reset()
+    sub, sup = intern(NominalType("Integer")), intern(NominalType("Numeric"))
+    assert subtype(sub, sup) and subtype(sub, sup)
+    assert obs.metrics_snapshot()["counters.subtype.memo_hits"] >= 1

@@ -130,3 +130,23 @@ def test_render_summary_aggregates_phases_and_counters():
     text = obs.render_summary()
     assert "phase.a" in text
     assert "my.counter: 7" in text
+
+
+@pytest.mark.parametrize("value,expected", [
+    (None, (False, None)),
+    ("", (False, None)),
+    ("Off", (False, None)),
+    ("0", (False, None)),
+    ("TRUE", (True, None)),
+    ("1", (True, None)),
+    ("out/Trace.json", (True, "out/Trace.json")),
+])
+def test_env_switch_parses_on_off_and_path_values(monkeypatch, value,
+                                                  expected):
+    from repro.obs.state import env_switch
+
+    if value is None:
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_TRACE", value)
+    assert env_switch("REPRO_TRACE") == expected

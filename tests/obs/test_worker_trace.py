@@ -11,7 +11,6 @@ from repro import obs
 from repro.parallel import check_fleet
 from repro.parallel.protocol import CheckRequest, ShardResult
 from repro.parallel.worker import _trace_begin, _trace_end
-from repro.runtime.compile import inline_cache_stats
 from repro.runtime.interp import Interp
 
 LABEL = "discourse"
@@ -108,13 +107,14 @@ while i < 30
 end
 total
 """)
-    stats = inline_cache_stats()
-    assert stats["misses"] >= 1
-    assert stats["hits"] >= 29
-    # and the registry surfaces the same counters under stable keys
+    counters = obs.counters()
+    assert counters["vm.inline_cache.misses"] >= 1
+    assert counters["vm.inline_cache.hits"] >= 29
+    # and the snapshot surfaces the same counters under stable keys
     snap = obs.metrics_snapshot()
-    assert snap["vm.inline_cache.hits"] == stats["hits"]
-    assert snap["vm.inline_cache.misses"] == stats["misses"]
+    assert snap["vm.inline_cache.hits"] == counters["vm.inline_cache.hits"]
+    assert snap["counters.vm.inline_cache.misses"] == \
+        snap["vm.inline_cache.misses"] == counters["vm.inline_cache.misses"]
     assert 0.0 < snap["vm.inline_cache.hit_rate"] <= 1.0
 
 
@@ -122,4 +122,6 @@ def test_inline_cache_counters_stay_zero_while_disabled():
     assert not obs.enabled()
     interp = Interp()
     interp.run('x = 0\nwhile x < 10\n  x = x + "a".length()\nend\nx')
-    assert inline_cache_stats() == {"hits": 0, "misses": 0}
+    assert not any(name.startswith("vm.") for name in obs.counters())
+    snap = obs.metrics_snapshot()
+    assert snap["vm.inline_cache.hits"] == snap["vm.inline_cache.misses"] == 0

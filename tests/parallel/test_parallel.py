@@ -183,7 +183,7 @@ end
     assert _serial_key(report) == _serial_key(serial_report)
     assert "ParallelProbe.answer" in report.checked_methods
     stats = rdl.incremental_stats
-    assert "warm_fallbacks" not in stats.extra
+    assert "warm.fallbacks" not in stats.extra
     assert stats.methods_checked_parallel == len(report.checked_methods)
 
 
@@ -208,8 +208,8 @@ def test_check_all_after_pristine_redefinition_falls_back_to_serial():
     report = rdl.check_all(app.label, workers=2)
     assert _serial_key(report) == _serial_key(serial.check_all(app.label))
     extra = rdl.incremental_stats.extra
-    assert extra["warm_fallbacks"] == 1
-    assert "(re)definition" in extra["warm_fallback_reason"]
+    assert extra["warm.fallbacks"] == 1
+    assert "(re)definition" in extra["warm.fallback_reason"]
     assert rdl.incremental_stats.methods_checked_parallel == 0
 
 

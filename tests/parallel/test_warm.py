@@ -123,7 +123,7 @@ def test_pristine_redefinition_falls_back_to_serial():
         run = warm.warm_engine.last_warm_run
         assert not run.remote
         assert "(re)definition" in run.fallback_reason
-        assert warm.incremental_stats.extra["warm_fallbacks"] >= 1
+        assert warm.incremental_stats.extra["warm.fallbacks"] >= 1
     finally:
         warm.shutdown_warm()
 
@@ -288,7 +288,7 @@ def test_worker_death_mid_round_reruns_shard_on_survivors():
         run = engine.last_warm_run
         assert run.remote
         assert run.retries >= 1
-        assert engine.stats.extra["warm_worker_retries"] >= 1
+        assert engine.stats.extra["warm.retries"] >= 1
         assert not victim.alive  # the engine noticed the death
 
         # the pool heals: the next round respawns to full strength and a

@@ -28,8 +28,7 @@ from repro.rtypes import (AnyType, BotType, ConstStringType, FiniteHashType,
                           SingletonType, TupleType, UnionType, VarType,
                           parse_type, try_intern)
 from repro.runtime.errors import Blame
-from repro.runtime.member_compile import (membership_stats, predicate_for,
-                                          reset_membership_stats)
+from repro.runtime.member_compile import predicate_for
 from repro.runtime.membership import value_has_type
 from repro.runtime.objects import RArray, RHash, RString, Sym, ruby_inspect
 
@@ -348,7 +347,7 @@ def test_membership_counters_surface_in_metrics_snapshot():
 
     was_enabled = obs.enabled()
     obs.enable()
-    reset_membership_stats()
+    obs.reset()
     try:
         rdl = CompRDL()
         # a never-before-interned nominal: compiles must move
@@ -357,17 +356,16 @@ def test_membership_counters_surface_in_metrics_snapshot():
         pred(rdl.interp, 3)      # miss fills the cache
         pred(rdl.interp, 3)      # hit
         predicate_for(rtype)     # predicate-cache hit
-        stats = membership_stats()
-        assert stats["compiles"] >= 1
-        assert stats["ic_misses"] >= 1
-        assert stats["ic_hits"] >= 1
-        assert stats["pred_cache_hits"] >= 1
+        counters = obs.counters()
+        assert counters["membership.compiles"] >= 1
+        assert counters["membership.ic_misses"] >= 1
+        assert counters["membership.ic_hits"] >= 1
+        assert counters["membership.pred_cache_hits"] >= 1
         snap = metrics_snapshot()
         assert snap["membership.compiles"] >= 1
         assert snap["membership.ic_hits"] >= 1
         assert 0.0 <= snap["membership.ic_hit_rate"] <= 1.0
     finally:
-        reset_membership_stats()
         obs.reset()
         obs.set_enabled(was_enabled)
 
