@@ -93,9 +93,9 @@ class TestSchedulerStaticDirty:
         for key in scheduler.dirty:
             deps = scheduler.tracker.deps_of(key)
             assert deps is not None and WILDCARD in deps.tables
-        assert "analysis_conservative_dirtied" not in \
+        assert "analysis.conservative_dirtied" not in \
             rdl.incremental_stats.extra
-        assert "analysis_static_dirtied" not in \
+        assert "analysis.static_dirtied" not in \
             rdl.incremental_stats.extra
 
 
