@@ -124,7 +124,7 @@ class StaticFootprint:
         Each distinct comp evaluated adds engine work; each table read adds
         schema traffic; a wildcard footprint hits the ``all_schemas`` path
         (the most expensive read).  Tuned against observed per-method wall
-        times (see ``benchmarks/bench_analysis.py``).
+        times (``IncrementalStats.method_costs``).
         """
         weight = 1.0 + 1.5 * len(self.comps) + 0.25 * len(self.tables)
         if self.wildcard:

@@ -27,6 +27,7 @@ from repro.fuzz.harness import (
     run_storm,
 )
 from repro.fuzz.shrink import shrink_events
+from repro.obs.export import open_export
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
         entry["total_wall_s"] = round(time.perf_counter() - start, 3)
         results.append(entry)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with open_export(args.json) as fh:
             json.dump({"results": results, "failed": failed}, fh, indent=2)
             fh.write("\n")
     return 1 if failed else 0

@@ -93,7 +93,7 @@ class IncrementalStats:
     def snapshot(self) -> dict:
         """The counters as a flat dict with **stable** dotted key names.
 
-        These keys are the public contract consumed by benchmarks,
+        These keys are the public contract consumed by perfbench,
         ``obs.metrics_snapshot()`` and downstream charting — rename only
         with a deprecation story.  ``extra`` is keyed by stable names
         already and merges in as is; ``planner.split_bias``,

@@ -76,14 +76,17 @@ def drain(start: int = 0) -> list[dict]:
     return taken
 
 
-def absorb(events) -> None:
-    """Merge events another process recorded (worker reply piggybacks).
+def absorb(events, counters=()) -> None:
+    """Merge the events and ``(name, n)`` counter deltas another process
+    recorded (worker reply piggybacks).
 
     No-op while disabled, so a worker that kept tracing after the engine
     turned it off cannot silently re-fill the buffer.
     """
-    if events and ENABLED[0]:
+    if ENABLED[0]:
         _EVENTS.extend(events)
+        for name, n in counters:
+            bump(name, n)
 
 
 def events() -> list[dict]:

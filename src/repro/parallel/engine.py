@@ -88,10 +88,6 @@ class ParallelRun:
     critical_path_s: float = 0.0  # max worker CPU time: projected wall on
                                   # a machine with >= workers free cores
 
-    @property
-    def worker_cpu_s(self) -> float:
-        return sum(result.cpu_s for result in self.results)
-
 
 def specs_for_labels(labels, registry_for_label) -> list[MethodSpec]:
     """The serial-order method list for ``labels`` (registry order per
@@ -262,7 +258,7 @@ class ParallelCheckEngine:
 
         results = self._run_shards(shards)
         for result in results:
-            obs_spans.absorb(result.spans)
+            obs_spans.absorb(result.spans, result.counters)
 
         merge_start = time.perf_counter()
         with obs_spans.span("fleet.merge"):
@@ -737,7 +733,7 @@ class ParallelCheckEngine:
                 ack = handle.recv(deadline_s=self._cold_deadline())
             except WorkerLost:
                 continue
-            obs_spans.absorb(getattr(ack, "spans", ()))
+            obs_spans.absorb(ack.spans, ack.counters)
             if any(gen != pristine for gen in ack.generations.values()):
                 raise WarmSyncError(
                     f"replica build diverged: worker {handle.index} built "
@@ -769,7 +765,7 @@ class ParallelCheckEngine:
                 ack = handle.recv()
             except WorkerLost:
                 continue
-            obs_spans.absorb(getattr(ack, "spans", ()))
+            obs_spans.absorb(ack.spans, ack.counters)
             if any(gen != rdl.db.version for gen in ack.generations.values()):
                 raise WarmSyncError(
                     f"delta replay diverged on worker {handle.index}: "
@@ -822,7 +818,7 @@ class ParallelCheckEngine:
                                     args={"shard": shard.index})
                     lost.append(shard)
                 else:
-                    obs_spans.absorb(result.spans)
+                    obs_spans.absorb(result.spans, result.counters)
                     results.append(result)
             return lost
 

@@ -96,8 +96,10 @@ class ShardResult:
     check_s: float = 0.0      # wall time spent checking (worker-side)
     cpu_s: float = 0.0        # process CPU time for the whole shard
     pid: int = 0
-    #: worker-recorded trace events (chrome dicts); () unless tracing
+    #: worker-recorded trace events (chrome dicts) and ``(name, n)``
+    #: counter deltas; () unless tracing
     spans: tuple = ()
+    counters: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,7 @@ class AttachAck:
     build_s: dict[str, float] = field(default_factory=dict)
     pid: int = 0
     spans: tuple = ()
+    counters: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,7 @@ class DeltaAck:
     loads_applied: int = 0
     pid: int = 0
     spans: tuple = ()
+    counters: tuple = ()
 
 
 @dataclass(frozen=True)

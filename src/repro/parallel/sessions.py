@@ -251,7 +251,3 @@ class WarmRun:
     @property
     def critical_path_s(self) -> float:
         return max((r.cpu_s for r in self.results), default=0.0)
-
-    @property
-    def worker_cpu_s(self) -> float:
-        return sum(r.cpu_s for r in self.results)

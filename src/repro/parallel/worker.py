@@ -29,7 +29,7 @@ from repro.incremental.versioning import SchemaEvent
 from repro.obs import faults as obs_faults
 from repro.obs import provenance as obs_prov
 from repro.obs import spans as obs_spans
-from repro.obs.state import env_switch
+from repro.obs.state import COUNTERS, env_switch
 
 _FAULTS_ON = obs_faults.ENABLED  # cached cell: zero-cost guard when off
 from repro.parallel.protocol import (
@@ -48,9 +48,10 @@ from repro.parallel.protocol import (
 )
 
 
-def _trace_begin(message) -> int | None:
+def _trace_begin(message) -> tuple | None:
     """Set this process's tracing state from the request and return the
-    span-buffer mark to drain from, or ``None`` when tracing is off.
+    span-buffer mark to drain from plus a copy of the counters, or ``None``
+    when tracing is off.
 
     Workers are spawned, so they inherit the *environment* but not the
     parent's flag — each request re-derives the state from its ``trace``
@@ -66,13 +67,22 @@ def _trace_begin(message) -> int | None:
                           or env_switch("REPRO_TRACE")[0])
     obs_prov.set_enabled(bool(getattr(message, "provenance", False))
                          or env_switch("REPRO_PROVENANCE")[0])
-    return obs_spans.mark() if obs_spans.enabled() else None
+    if not obs_spans.enabled():
+        return None
+    return obs_spans.mark(), dict(COUNTERS)
 
 
-def _trace_end(reply, mark: int | None):
-    """Move this request's spans onto the reply (which pickles home)."""
+def _trace_end(reply, mark: tuple | None):
+    """Move this request's spans and counter deltas onto the reply (which
+    pickles home; the engine folds both back in with ``obs.absorb``)."""
     if mark is not None:
-        reply.spans = tuple(obs_spans.drain(mark))
+        start, before = mark
+        reply.spans = tuple(obs_spans.drain(start))
+        reply.counters = tuple(
+            (name, n - before.get(name, 0)) for name, n in COUNTERS.items()
+            if n != before.get(name, 0))
+        COUNTERS.clear()
+        COUNTERS.update(before)
     return reply
 
 

@@ -64,7 +64,8 @@ class AnnotationRegistry:
     def __init__(self) -> None:
         self.method_annotations: dict[MethodKey, list[MethodAnnotation]] = {}
         self.pending: dict[str, list[MethodAnnotation]] = {}
-        self.labels: dict[str, list[MethodKey]] = {}
+        # label -> insertion-ordered set of keys (dict values unused)
+        self.labels: dict[str, dict[MethodKey, None]] = {}
         self.ivar_types: dict[tuple[str, str], RType] = {}
         self.gvar_types: dict[str, RType] = {}
         self.const_types: dict[str, RType] = {}
@@ -182,10 +183,8 @@ class AnnotationRegistry:
         if annotation.label:
             # one entry per method regardless of how many of its annotations
             # carry the label: check_label and the parallel fleet both walk
-            # this list, and verdict parity needs them to agree on the count
-            keys = self.labels.setdefault(annotation.label, [])
-            if key not in keys:
-                keys.append(key)
+            # this order, and verdict parity needs them to agree on the count
+            self.labels.setdefault(annotation.label, {})[key] = None
         if annotation.signature.is_comp():
             self.comp_annotation_count[key.class_name] = (
                 self.comp_annotation_count.get(key.class_name, 0) + 1
@@ -283,7 +282,7 @@ class AnnotationRegistry:
         return default_effect(class_name, method_name)
 
     def methods_for_label(self, label: str) -> list[MethodKey]:
-        return list(self.labels.get(label, []))
+        return list(self.labels.get(label, ()))
 
 
 def _sym_name(value) -> str | None:

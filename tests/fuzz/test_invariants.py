@@ -1,8 +1,11 @@
 """Small fixed-seed storms: the five invariants hold end-to-end."""
 
+import json
+
 import pytest
 
 from repro.fuzz import Step, StormConfig, run_events, run_storm
+from repro.fuzz.__main__ import main as fuzz_main
 
 pytestmark = pytest.mark.slow
 
@@ -74,3 +77,11 @@ def test_shrinker_finds_small_repro():
     minimal = shrink_events(full, fails)
     assert len(minimal) == 1
     assert minimal[0].op == "insert" and minimal[0].table == "events"
+
+
+def test_cli_json_summary_creates_its_directory(tmp_path):
+    path = tmp_path / "artifacts" / "smoke.json"
+    argv = ["--seed", "0", "--steps", "4", "--profile", "migrations",
+            "--json", str(path)]
+    assert fuzz_main(argv) == 0
+    assert json.loads(path.read_text())["failed"] == 0

@@ -1,14 +1,18 @@
 """Cross-process span propagation and the VM inline-cache counters.
 
-Workers buffer spans locally and piggyback them on their protocol replies;
-the engine absorbs them into one timeline.  With tracing off, the protocol
-messages carry nothing — the empty defaults, no span attributes.
+Workers buffer spans locally and piggyback them, with the request's
+counter deltas, on their protocol replies; the engine absorbs both into one
+timeline and one counter registry.  With tracing off, the protocol messages
+carry nothing — the empty defaults, no span or counter attributes.
 """
 
 import os
 
+import pytest
+
 from repro import obs
-from repro.parallel import check_fleet
+from repro.apps import app_for_label
+from repro.parallel import ParallelCheckEngine, check_fleet
 from repro.parallel.protocol import CheckRequest, ShardResult
 from repro.parallel.worker import _trace_begin, _trace_end
 from repro.runtime.interp import Interp
@@ -30,23 +34,31 @@ def test_untraced_request_adds_no_attributes_to_reply():
     mark = _trace_begin(_Message(trace=False))
     assert mark is None
     assert not obs.enabled()
+    obs.bump("probe.untraced")
     _trace_end(reply, mark)
-    assert reply.spans == ()  # the protocol default, untouched
+    assert reply.spans == ()  # the protocol defaults, untouched
+    assert reply.counters == ()
 
 
 def test_traced_request_ships_only_its_own_window():
     obs.enable()
     with obs.span("pre-existing"):
         pass
+    obs.bump("probe.before")
     reply = ShardResult(shard_id=0)
     mark = _trace_begin(_Message(trace=True))
     with obs.span("inside"):
         pass
+    obs.bump("probe.before")
+    obs.bump("probe.inside", 2)
     _trace_end(reply, mark)
-    # the reply carries the request's spans; an in-process caller's earlier
-    # spans stay in the local buffer (workers == 1 runs share the process)
+    # the reply carries the request's spans and counter deltas; an
+    # in-process caller's earlier ones stay local (workers == 1 runs share
+    # the process)
     assert [e["name"] for e in reply.spans] == ["inside"]
     assert [e["name"] for e in obs.events()] == ["pre-existing"]
+    assert sorted(reply.counters) == [("probe.before", 1), ("probe.inside", 2)]
+    assert obs.counters() == {"probe.before": 1}
 
 
 def test_protocol_messages_default_to_untraced():
@@ -78,6 +90,22 @@ def test_fleet_check_collects_spans_from_distinct_worker_pids():
     names = {e["name"] for e in events}
     assert "fleet.round" in names
     assert "fleet.merge" in names
+
+
+@pytest.mark.slow
+def test_worker_counters_reach_the_parent_snapshot():
+    """``sessions.catalog_hits`` is bumped only inside workers (a session
+    attach adopting a primed replica); traced replies carry it home."""
+    app = app_for_label(LABEL)
+    with ParallelCheckEngine(workers=2) as engine:
+        engine.prime([app.label])
+        rdl = app.build()
+        rdl.adopt_warm_engine(engine)
+        obs.enable()
+        rdl.check_all(app.label, workers=2)
+        snapshot = rdl.metrics_snapshot()
+        rdl.shutdown_warm()
+    assert snapshot.get("counters.sessions.catalog_hits", 0) >= 1
 
 
 def test_fleet_check_disabled_emits_zero_events():

@@ -1,7 +1,7 @@
 """Every function and class the package defines is used somewhere.
 
 A name defined in ``src/repro`` that appears nowhere else — not in the
-package, the tests, the benchmarks, the examples or the README — is dead
+package, the tests, perfbench, the examples or the README — is dead
 code.  The scan is textual (any identifier occurrence counts, docstrings
 included), so it only flags names nothing mentions at all.
 """
@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-CORPUS = ("src", "tests", "benchmarks", "perfbench", "examples")
+CORPUS = ("src", "tests", "perfbench", "examples")
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
