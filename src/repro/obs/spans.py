@@ -76,9 +76,8 @@ def drain(start: int = 0) -> list[dict]:
     return taken
 
 
-def absorb(events, counters=()) -> None:
-    """Merge the events and ``(name, n)`` counter deltas another process
-    recorded (worker reply piggybacks).
+def absorb(events, counters) -> None:
+    """Merge events and ``(name, n)`` counter deltas from a worker reply.
 
     No-op while disabled, so a worker that kept tracing after the engine
     turned it off cannot silently re-fill the buffer.

@@ -96,8 +96,7 @@ class ShardResult:
     check_s: float = 0.0      # wall time spent checking (worker-side)
     cpu_s: float = 0.0        # process CPU time for the whole shard
     pid: int = 0
-    #: worker-recorded trace events (chrome dicts) and ``(name, n)``
-    #: counter deltas; () unless tracing
+    #: worker trace events and ``(name, n)`` counter deltas; () unless tracing
     spans: tuple = ()
     counters: tuple = ()
 

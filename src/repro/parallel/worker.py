@@ -73,8 +73,7 @@ def _trace_begin(message) -> tuple | None:
 
 
 def _trace_end(reply, mark: tuple | None):
-    """Move this request's spans and counter deltas onto the reply (which
-    pickles home; the engine folds both back in with ``obs.absorb``)."""
+    """Move this request's spans and counter deltas onto the reply."""
     if mark is not None:
         start, before = mark
         reply.spans = tuple(obs_spans.drain(start))

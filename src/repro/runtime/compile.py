@@ -970,6 +970,15 @@ def _c_method_call(node, root):
         return run
 
     recv_c = compile_node(node.receiver, root)
+    if make_block is None and len(arg_cs) == 1:
+        arg_c, = arg_cs  # binary operators: no list comprehension per call
+
+        def run(i, f, recv_c=recv_c, name=name, line=line, nid=nid,
+                arg_c=arg_c, cache=cache):
+            return _dispatch_cached(i, recv_c(i, f), name, [arg_c(i, f)],
+                                    None, line, nid, cache)
+
+        return run
 
     def run(i, f, recv_c=recv_c, name=name, line=line, nid=nid,
             arg_cs=arg_cs, make_block=make_block, cache=cache):

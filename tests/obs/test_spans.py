@@ -102,12 +102,12 @@ def test_mark_drain_absorb_window_the_buffer():
     taken = obs.drain(position)
     assert [e["name"] for e in taken] == ["after"]
     assert [e["name"] for e in obs.events()] == ["before"]
-    obs.absorb(taken)
+    obs.absorb(taken, ())
     assert [e["name"] for e in obs.events()] == ["before", "after"]
     # absorbing while disabled is a no-op (a worker that kept tracing
     # cannot re-fill a buffer the engine turned off)
     obs.disable()
-    obs.absorb([{"name": "ghost"}])
+    obs.absorb([{"name": "ghost"}], ())
     assert obs.buffered() == 2
 
 
