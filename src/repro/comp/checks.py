@@ -4,17 +4,24 @@ When the checker types a call via a comp signature it attaches a
 :class:`CheckSpec` to the call node.  At run time (with checks enabled) the
 interpreter consults the spec:
 
-* **before the call** — every comp expression in the signature is
-  *re-evaluated* on the same input types recorded at type-checking time; a
-  different result means mutable state the comp type depends on changed
-  (e.g. the DB schema), and an exception is raised (§4 "Heap Mutation");
-  computed argument types are also checked against the actual argument
-  values (contract-style);
+* **before the call** — the comp expressions in the signature are
+  *re-evaluated* on the input types recorded at type-checking time, but only
+  once the state they may consult has moved: the schema generation
+  (``db.version``) or the universe's method epoch (a ``def`` may redefine a
+  type-level helper).  A spec is seeded with the state the checker computed
+  its results against, so an unmutated universe pays two integer compares;
+  a different result raises Blame (§4 "Heap Mutation").  Computed argument
+  types are also checked against the actual argument values;
 * **after the call** — the returned value is checked against the computed
   return type: λC's checked call ⌈A⌉e.m(e), reducing to blame on failure.
 
-Specs are *specialized at construction*: the argument and return types are
-lowered once into compiled membership predicates
+Seeding is sound because the spec owns its return type: the checker hands
+that object on to the caller's env, where later weak updates widen it in
+place (``r << x`` after ``r = a + b``), so it is copied once at
+construction.  Argument comp results never leave the spec.
+
+Specs are also *specialized at construction*: the argument and return types
+are lowered once into compiled membership predicates
 (:mod:`repro.runtime.member_compile`), so the per-call loop does no type
 dispatch.  Failure messages are rendered from the original types, so Blame
 reads the same whichever predicate ``predicate_for`` hands out; the parity
@@ -26,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.rtypes import CompExpr, RType
+from repro.rtypes.intern import fresh_copy
 from repro.runtime.errors import Blame
 from repro.runtime.member_compile import predicate_for
 
@@ -43,12 +51,22 @@ class CheckSpec:
     line: int = 0
     col: int = 0
     check_args: bool = True
-    # db.version at the last successful consistency re-validation; the
-    # inputs (bindings) are fixed per call site, so the comp results can
-    # only change when the mutable state they consult changes (§4)
+    # (db.version, engine.method_epoch) the comp results are known valid
+    # at, seeded with the state the checker computed them against; the
+    # inputs (bindings) are fixed per call site, so the results can only
+    # change when the schema or a type-level helper changes (§4)
     _validated_version: int | None = field(default=None, repr=False)
+    _validated_epoch: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        # own the return type (see the module docstring)
+        ret, self.ret_type = self.ret_type, fresh_copy(self.ret_type)
+        self.comp_results = [
+            (comp, bindings, self.ret_type if expected is ret else expected)
+            for comp, bindings, expected in self.comp_results]
+        if self.engine is not None:
+            self._validated_version = self.engine.generation
+            self._validated_epoch = self.engine.method_epoch
         self._bind_plan()
 
     def _bind_plan(self) -> None:
@@ -76,12 +94,13 @@ class CheckSpec:
 
     def before_call(self, interp, receiver, args, line) -> None:
         version = getattr(interp.db, "version", 0) if interp.db else 0
-        if self._validated_version == version:
+        epoch = self.engine.method_epoch
+        if self._validated_version == version and self._validated_epoch == epoch:
             self._check_arg_values(interp, args, line)
             return
         for comp, bindings, expected in self.comp_results:
             try:
-                recomputed = self.engine.evaluate_for_check(
+                recomputed = self.engine.evaluate(
                     comp, bindings, line, self.method_desc)
             except Exception as exc:
                 raise Blame(
@@ -96,6 +115,7 @@ class CheckSpec:
                     f"on was modified", line, col=self.col,
                 )
         self._validated_version = version
+        self._validated_epoch = epoch
         self._check_arg_values(interp, args, line)
 
     def _check_arg_values(self, interp, args, line) -> None:

@@ -44,6 +44,9 @@ class CompEngine:
         self.deps = DependencyTracker()
         self.asts = AstCache(stats=self.stats)
         self.cache = CompEvalCache(stats=self.stats)
+        # bumped on every (re)definition or annotation in this universe:
+        # with the schema generation, the state check specs trust (§4)
+        self.method_epoch = 0
         db = getattr(interp, "db", None)
         if db is not None and hasattr(db, "add_read_listener"):
             db.add_read_listener(self.deps.note_table)
@@ -56,6 +59,7 @@ class CompEngine:
         only on (code, bindings, schema generation) — so drop everything.
         Loads after checking are rare; the cache re-fills on the next pass.
         (The parsed-AST cache survives: comp *code* text didn't change.)"""
+        self.method_epoch += 1
         if len(self.cache):
             self.cache.clear()
 
@@ -155,18 +159,6 @@ class CompEngine:
         # the first caller must not alias the cache entry either: weak
         # updates widen types in place, which would pollute later hits
         return _fresh(value)
-
-    def evaluate_for_check(self, comp: CompExpr, bindings: dict[str, RType],
-                           line: int = 0, context: str = "") -> RType:
-        """Comp re-evaluation for runtime consistency checks (§4).
-
-        The mutable state our type-level helpers consult is the database
-        schema, and :meth:`evaluate` is already memoized per schema
-        generation (with per-table invalidation), so a schema mutation
-        forces a genuine re-evaluation — preserving the consistency-check
-        semantics while keeping steady-state overhead low.
-        """
-        return self.evaluate(comp, bindings, line, context)
 
 
 def _fresh(value: RType) -> RType:

@@ -88,15 +88,18 @@ def measure_app(app: SubjectApp, runs: int = 11, test_reps: int = 20) -> Table2R
     row.casts_rdl = rdl_report.casts_used + rdl_report.oracle_casts
 
     # -- dynamic check overhead ---------------------------------------------
+    # one untimed pass of each, then interleaved reps: the suites insert
+    # rows, so back-to-back blocks would time the checked reps on a
+    # larger database than the unchecked ones
     if app.test_suite:
-        start = time.perf_counter()
-        for _ in range(test_reps):
-            rdl.run(app.test_suite, checks=False)
-        row.test_no_chk_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(test_reps):
-            rdl.run(app.test_suite, checks=True)
-        row.test_w_chk_s = time.perf_counter() - start
+        totals = {False: 0.0, True: 0.0}
+        for rep in range(test_reps + 1):
+            for checks in (False, True):
+                start = time.perf_counter()
+                rdl.run(app.test_suite, checks=checks)
+                if rep:
+                    totals[checks] += time.perf_counter() - start
+        row.test_no_chk_s, row.test_w_chk_s = totals[False], totals[True]
     return row
 
 

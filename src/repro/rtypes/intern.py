@@ -365,6 +365,10 @@ def env_fingerprint(bindings: dict) -> int:
 # fresh copies along mutable structure
 # ---------------------------------------------------------------------------
 
+_IMMUTABLE_LEAVES = frozenset(
+    (NominalType, SingletonType, AnyType, BotType, VarType))
+
+
 def fresh_copy(t: RType | None) -> RType | None:
     """Copy ``t`` along its mutable structure, sharing immutable subtrees.
 
@@ -375,23 +379,23 @@ def fresh_copy(t: RType | None) -> RType | None:
     change them.  Fresh mutable copies start with empty constraint logs,
     exactly like a fresh parse.
     """
-    if t is None:
-        return None
+    if t is None or t._interned:
+        return t
     cls = t.__class__
+    if cls in _IMMUTABLE_LEAVES:
+        return t
     if cls is TupleType:
         return TupleType([fresh_copy(e) for e in t.elts])
     if cls is FiniteHashType:
         return FiniteHashType(
             {k: fresh_copy(v) for k, v in t.elts.items()},
             rest=fresh_copy(t.rest),
-            optional_keys=set(t.optional_keys),
+            optional_keys=t.optional_keys,  # the constructor copies it
         )
     if cls is ConstStringType:
         copy = ConstStringType(t.value)
         copy.is_promoted = t.is_promoted
         return copy
-    if t._interned:
-        return t
     if cls is UnionType:
         members = [fresh_copy(m) for m in t.types]
         if all(m is o for m, o in zip(members, t.types)):
@@ -419,4 +423,4 @@ def fresh_copy(t: RType | None) -> RType | None:
                 and all(a is b for a, b in zip(args, t.args))):
             return t
         return MethodType(args, block, ret)
-    return t  # immutable leaf (Nominal, Singleton, Any, Bot, Var)
+    return t  # an RType subclass with no mutable structure
