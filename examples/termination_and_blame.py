@@ -4,12 +4,14 @@
    iterators must take pure blocks — otherwise type checking is rejected.
 2. If mutable state a comp type depends on (the DB schema) changes between
    type checking and a call, the inserted dynamic check raises Blame.
+3. A type-level helper redefined to loop after a check is rejected by the
+   next check, not run: the termination verdict follows redefinitions.
 
 Run: python examples/termination_and_blame.py
 """
 
 from repro import Blame, CompRDL, Database
-from repro.typecheck.errors import StaticTypeError
+from repro.typecheck.errors import TerminationError
 
 
 def main() -> None:
@@ -74,6 +76,36 @@ end
     except Blame as blame:
         print("  after dropping the column: Blame!")
         print("   ", str(blame)[:100], "...")
+
+    # 4. a helper redefined to loop after a check: the next check rejects it
+    rdl = CompRDL()
+    rdl.load("""
+type :pick_type, "() -> Type", terminates: :+, pure: :+
+def pick_type
+  Nominal.new(Integer)
+end
+comp_helper :pick_type
+
+class Picker
+  type :"self.make", "() -> «pick_type()»"
+  def self.make()
+    1
+  end
+
+  type :"self.use", "() -> Integer", typecheck: :app
+  def self.use()
+    Picker.make()
+  end
+end
+""")
+    print("\nhelper redefined to loop after a check:")
+    print("  first check:", rdl.check(":app").summary())
+    rdl.load("def pick_type\n  while true\n  end\n  Nominal.new(Integer)\nend\n")
+    report = rdl.check(":app")
+    if not isinstance(report.errors[0] if report.errors else None,
+                      TerminationError):
+        raise SystemExit("BUG: the looping helper was not rejected")
+    print("  after the redefinition:", report.errors[0])
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ Three cooperating passes, none of which execute any type-level code:
   footprint is a superset of the :class:`~repro.incremental.deps.MethodDeps`
   the checker records while actually verifying it (``static ⊇ dynamic``),
   falling back to a wildcard where literal reasoning runs out.
-* **effect lint** (:mod:`repro.analysis.lint`) — a flow-insensitive
-  purity/termination checker mirroring the §4 rules
-  (:mod:`repro.comp.termination`) as structured diagnostics with stable
-  rule ids instead of hard errors: loops in type-level code, calls to
-  possibly-divergent or impure methods, iterators with mutating blocks,
-  and helper-recursion cycles the dynamic checker silently assumes away.
+* **effect lint** (:mod:`repro.analysis.lint`) — drives the §4
+  termination walk (:mod:`repro.comp.termination`) over every comp and
+  helper body and collects all of its structured diagnostics, with
+  stable rule ids, instead of raising on the first: loops in type-level
+  code, calls to possibly-divergent or impure methods, iterators with
+  mutating blocks, and helper-recursion cycles the dynamic checker
+  assumes away.
 * **consumers** — the incremental scheduler pre-seeds dirty-set
   resolution from static footprints (methods whose verdicts carry no
   dynamic deps are re-dirtied exactly when their static footprint is
@@ -24,8 +25,7 @@ Three cooperating passes, none of which execute any type-level code:
   syncs whose changed tables no pending method's footprint names.
 
 Surfaces: ``python -m repro.analysis`` (the repo-wide diagnostics CLI),
-``CompRDL.analyze()``, ``table1.py --lint``, and ``analysis.*`` keys in
-``metrics_snapshot()``.
+``CompRDL.analyze()``, and ``analysis.*`` keys in ``metrics_snapshot()``.
 """
 
 from repro.analysis.footprint import (

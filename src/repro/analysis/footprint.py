@@ -361,34 +361,8 @@ class FootprintAnalyzer:
 
 
 # ---------------------------------------------------------------------------
-# AST walks
+# AST facts
 # ---------------------------------------------------------------------------
-
-def _children(node):
-    for field_name in getattr(node, "__dataclass_fields__", ()):
-        if field_name in ("line", "col", "node_id", "compiled"):
-            continue
-        value = getattr(node, field_name)
-        if isinstance(value, ast.Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.Node):
-                    yield item
-                elif isinstance(item, tuple):
-                    for part in item:
-                        if isinstance(part, ast.Node):
-                            yield part
-
-
-def walk(node):
-    """Every AST node reachable from ``node`` (inclusive), iteratively."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(_children(current))
-
 
 def _is_literal_receiver(node) -> bool:
     """Receivers whose singleton derivation the walk already covers."""
@@ -410,7 +384,7 @@ def _is_literal_arg(node) -> bool:
 
 def collect_body_facts(body) -> _BodyFacts:
     facts = _BodyFacts()
-    for node in walk(body):
+    for node in ast.walk(body):
         if isinstance(node, ast.ConstRef):
             facts.const_refs.add(node.name)
         elif isinstance(node, ast.SymLit):
@@ -434,7 +408,7 @@ def collect_body_facts(body) -> _BodyFacts:
 
 def _call_names(node) -> set:
     names: set = set()
-    for current in walk(node):
+    for current in ast.walk(node):
         if isinstance(current, ast.MethodCall):
             names.add(current.name)
         elif isinstance(current, ast.IndexAssign):

@@ -109,7 +109,7 @@ class CompRDL:
         if self.replay_blocker is None:  # the first offending event wins
             self.replay_blocker = reason
 
-    def _note_method_event(self, key) -> None:
+    def _note_method_event(self, key, redefined) -> None:
         if key in self._pristine_keys:
             self._block_replay(
                 f"post-build (re)definition of {key} — a redefined "

@@ -53,15 +53,17 @@ class CompEngine:
         if hasattr(registry, "add_method_listener"):
             registry.add_method_listener(self._on_method_change)
 
-    def _on_method_change(self, key) -> None:
+    def _on_method_change(self, key, redefined) -> None:
         """A ``load`` (re)defined a method: it may be a type-level helper
         that cached comp results silently embed, and the cache is keyed
         only on (code, bindings, schema generation) — so drop everything.
         Loads after checking are rare; the cache re-fills on the next pass.
-        (The parsed-AST cache survives: comp *code* text didn't change.)"""
+        (The parsed-AST cache survives: comp *code* text didn't change.)
+        Termination walks that consulted the method's name are dropped."""
         self.method_epoch += 1
         if len(self.cache):
             self.cache.clear()
+        self.termination.forget(key.method_name)
 
     # ------------------------------------------------------------------
     @property
@@ -131,8 +133,8 @@ class CompEngine:
                     raise self._comp_error(
                         f"comp type does not parse: {exc}", line, context,
                         code=comp.code)
-                self.termination.check_comp_code(program, comp.code)
                 self.asts.store(comp.code, program)
+            self.termination.check_comp_code(program, comp.code)
 
             env = Env()
             env.vars.update(bindings)

@@ -8,141 +8,227 @@ CompRDL guarantees type checking terminates by restricting comp type code:
   (mutating the collection being iterated could diverge) and itself
   terminates;
 * recursion in type-level code is assumed absent (as in the paper; a cycle
-  encountered during the recursive body check is treated as the paper's
-  assumption rather than an error).
+  among the ``Object`` methods type-level code calls is reported as a
+  warning rather than an error).
 
 Purity: a pure method may not assign instance/class/global variables or
 call impure methods.
+
+One walk implements these rules.  :meth:`TerminationChecker.diagnostics`
+yields every violation as a :class:`Diagnostic` in walk order, following
+self-calls into the bodies of ``Object`` methods:
+
+========  ========  =====================================================
+rule id   severity  meaning
+========  ========  =====================================================
+COMP001   error     ``while``/``until`` loop in type-level code
+COMP002   error     call to a method that may diverge (effect ``-``)
+COMP003   error     block-dependent iterator with an impure block
+COMP004   warning   call to an impure method from type-level code
+COMP005   warning   helper recursion cycle (termination *assumed*, the
+                    paper's recursion-free premise — see
+                    ``termination.cycle_assumed`` in obs)
+========  ========  =====================================================
+
+:meth:`TerminationChecker.check_comp_code` raises the first error the walk
+yields; the static lint (:mod:`repro.analysis.lint`) collects them all.  So
+a comp the dynamic check rejects carries a lint error at the same position
+by construction.
+
+Walks are memoized per comp code and per helper body.  Each walk records
+the method names whose effects or bodies it consulted, and
+:meth:`TerminationChecker.forget` drops it when a method of one of those
+names is defined or annotated; a comp whose check passed is not checked
+again until the next such definition.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro import obs
+from repro.comp.effects import default_effect
 from repro.lang import ast_nodes as ast
 from repro.typecheck.errors import TerminationError
+from repro.typecheck.registry import EffectInfo
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """One finding, anchored to a source position when known."""
+
+    rule: str
+    severity: str
+    message: str
+    owner: str        # "Class#method" whose annotation/helper holds the code
+    line: int = 0
+    col: int = 0
+
+    def render(self) -> str:
+        at = f":{self.line}:{self.col}" if self.line else ""
+        return f"{self.severity:<7} {self.rule} {self.owner}{at}: {self.message}"
+
+    def to_json(self) -> dict:
+        return {
+            "rule": self.rule,
+            "severity": self.severity,
+            "message": self.message,
+            "owner": self.owner,
+            "line": self.line,
+            "col": self.col,
+        }
 
 
 class TerminationChecker:
-    """Checks mini-Ruby ASTs used at the type level."""
+    """The §4 walk over type-level code of one universe."""
 
     def __init__(self, interp, registry):
         self.interp = interp
         self.registry = registry
-        self._verified: set[str] = set()
-        self._in_progress: set[str] = set()
+        # ("comp", owner) / ("helper", name) -> (walked node, events); an
+        # event is a Diagnostic or the name of an Object method the code
+        # calls, whose body the walk follows
+        self._walks: dict[tuple, tuple] = {}
+        # method name -> keys of the walks that consulted it
+        self._readers: dict[str, set] = {}
+        # comp description -> the program whose check last passed; a pass
+        # rests on every helper the walk reached, so any forget() clears it
+        self._passed: dict[str, object] = {}
+
+    def forget(self, method_name: str) -> None:
+        """A method named ``method_name`` was defined or annotated: drop
+        every walk that consulted the effects or body of that name."""
+        self._passed.clear()
+        for key in self._readers.pop(method_name, ()):
+            self._walks.pop(key, None)
 
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
     def check_comp_code(self, program, description: str) -> None:
-        """Check a comp expression's AST for guaranteed termination."""
-        for node in program.body:
-            self._check_terminates(node, description)
+        """Raise :class:`TerminationError` at the first error in a comp
+        expression's code or in the ``Object`` methods it reaches."""
+        if self._passed.get(description) is program:
+            return
+        for diag in self.diagnostics(program, description):
+            if diag.severity == "error":
+                raise TerminationError(f"{diag.message} ({diag.owner})",
+                                       diag.line, col=diag.col)
+            if diag.rule == "COMP005":
+                # the one place the check is optimistic: surface it
+                obs.event("termination.cycle_assumed", label=diag.owner)
+                obs.bump("termination.cycle_assumed")
+        self._passed[description] = program
 
-    def check_helper(self, class_name: str, method_name: str) -> None:
-        """Check a type-level helper method's body (recursively)."""
-        key = f"{class_name}#{method_name}"
-        if key in self._verified:
-            return
-        if key in self._in_progress:
-            # A helper-call cycle: the body under verification calls (possibly
-            # transitively) back into itself.  The paper assumes type-level
-            # code is recursion-free, so the cycle is *assumed* terminating
-            # rather than rejected — but that assumption is worth surfacing:
-            # it is the one place the termination check is optimistic.
-            obs.event("termination.cycle_assumed", label=key)
-            obs.bump("termination.cycle_assumed")
-            return
-        body_node = self.registry.lookup_body(class_name, method_name, False, self.interp) \
-            or self.registry.lookup_body(class_name, method_name, True, self.interp)
-        if body_node is None:
-            # native helper: trust its declared effect (checked by caller)
-            self._verified.add(key)
-            return
-        self._in_progress.add(key)
-        try:
-            for stmt in body_node.body:
-                self._check_terminates(stmt, key)
-        finally:
-            self._in_progress.discard(key)
-        self._verified.add(key)
+    def diagnostics(self, program, owner: str, seen: set | None = None):
+        """Every finding in ``program`` and in the bodies of the ``Object``
+        methods it reaches, in walk order.  ``seen`` holds the names of
+        the methods already followed; a caller that shares it across calls
+        gets each method body's findings once."""
+        entry = self._walks.get(("comp", owner))
+        if entry is None or entry[0] is not program:
+            entry = self._remember(("comp", owner), program, owner, set())
+        return self._flatten(entry[1], [], set() if seen is None else seen)
+
+    def helper_diagnostics(self, name: str, seen: set):
+        """The findings of the ``Object`` method ``name`` and of the
+        methods it reaches, unless ``seen`` already holds it."""
+        return self._flatten((name,), [], seen)
 
     # ------------------------------------------------------------------
-    # termination walk
+    # the walk
     # ------------------------------------------------------------------
-    def _check_terminates(self, node, context: str) -> None:
-        if node is None or isinstance(node, (str, int, float)):
+    def _flatten(self, events, stack: list, seen: set):
+        for event in events:
+            if isinstance(event, Diagnostic):
+                yield event
+            elif event in stack:
+                trail = " -> ".join(stack[stack.index(event):] + [event])
+                yield Diagnostic(
+                    "COMP005", "warning",
+                    f"helper recursion cycle ({trail}): termination is "
+                    "assumed, not verified", f"Object#{event}")
+            elif event not in seen:
+                seen.add(event)
+                stack.append(event)
+                yield from self._flatten(self._helper_events(event), stack,
+                                         seen)
+                stack.pop()
+
+    def _helper_events(self, name: str) -> tuple:
+        entry = self._walks.get(("helper", name))
+        if entry is None:
+            body = self.registry.lookup_body("Object", name, False,
+                                             self.interp)
+            entry = self._remember(("helper", name), body,
+                                   f"Object#{name}", {name})
+        return entry[1]
+
+    def _remember(self, key: tuple, node, owner: str, names: set) -> tuple:
+        events: list = []
+        for stmt in node.body if node is not None else ():
+            self._walk(stmt, owner, events, names)
+        entry = self._walks[key] = (node, tuple(events))
+        for name in names:
+            self._readers.setdefault(name, set()).add(key)
+        return entry
+
+    def _walk(self, node, owner: str, events: list, names: set) -> None:
+        if isinstance(node, ast.MethodCall):
+            self._walk_call(node, owner, events, names)
             return
         if isinstance(node, ast.While):
-            raise TerminationError(
-                f"type-level code may not contain loops ({context})",
-                node.line, col=node.col,
-            )
-        if isinstance(node, ast.MethodCall):
-            self._check_call(node, context)
-            return
-        if isinstance(node, (ast.IndexAssign, ast.AttrAssign)):
-            self._each_child(node, lambda child: self._check_terminates(child, context))
-            return
-        self._each_child(node, lambda child: self._check_terminates(child, context))
+            events.append(Diagnostic(
+                "COMP001", "error", "type-level code may not contain loops",
+                owner, node.line, node.col))
+        for child in ast.children(node):
+            self._walk(child, owner, events, names)
 
-    def _check_call(self, node: ast.MethodCall, context: str) -> None:
-        if node.receiver is not None:
-            self._check_terminates(node.receiver, context)
-        for arg in node.args:
-            self._check_terminates(arg, context)
-
-        effect = self._effect_for(node)
+    def _walk_call(self, node: ast.MethodCall, owner: str, events: list,
+                   names: set) -> None:
+        names.add(node.name)
+        for child in (node.receiver, *node.args, node.block_arg):
+            if child is not None:
+                self._walk(child, owner, events, names)
+        has_body = node.receiver is None and self.registry.lookup_body(
+            "Object", node.name, False, self.interp) is not None
+        effect = self._effect_for(node, has_body)
         if effect.terminates == "-":
-            raise TerminationError(
-                f"type-level code calls '{node.name}', which may not terminate "
-                f"({context})", node.line, col=node.col,
-            )
-        if effect.terminates == "blockdep":
-            if node.block is not None:
-                if not self.is_pure_block(node.block):
-                    raise TerminationError(
-                        f"iterator '{node.name}' in type-level code takes an "
-                        f"impure block ({context})", node.line, col=node.col,
-                    )
-                for stmt in node.block.body:
-                    self._check_terminates(stmt, context)
-            # block-less iterator calls return eagerly in our runtime
-        elif node.block is not None:
-            for stmt in node.block.body:
-                self._check_terminates(stmt, context)
+            events.append(Diagnostic(
+                "COMP002", "error",
+                f"type-level code calls '{node.name}', which may not "
+                "terminate", owner, node.line, node.col))
+        if effect.pure == "-":
+            events.append(Diagnostic(
+                "COMP004", "warning", f"call to impure method '{node.name}'",
+                owner, node.line, node.col))
+        if node.block is not None:
+            if effect.terminates == "blockdep" and not self._pure(node.block):
+                events.append(Diagnostic(
+                    "COMP003", "error",
+                    f"iterator '{node.name}' in type-level code takes an "
+                    "impure block", owner, node.line, node.col))
+            self._walk(node.block, owner, events, names)
+        if has_body:
+            events.append(node.name)
 
-        # user-defined helpers: verify their bodies too
-        if node.receiver is None:
-            body = self.registry.lookup_body("Object", node.name, False, self.interp)
-            if body is not None:
-                self.check_helper("Object", node.name)
-
-    def _effect_for(self, node: ast.MethodCall):
+    def _effect_for(self, node: ast.MethodCall, has_body: bool = False):
         """Best-effort effect lookup: receiver class is unknown statically at
         the type level, so consult annotations by method name, then the
         default table."""
-        from repro.comp.effects import default_effect
-        from repro.typecheck.registry import EffectInfo
-
-        # self-call to a helper defined on Object
+        registry = self.registry
         if node.receiver is None:
-            effect = self.registry.effect_of("Object", node.name, False, self.interp)
-            if self.registry.lookup_body("Object", node.name, False, self.interp) is not None:
-                # user helper bodies are verified recursively; treat the call
-                # as terminating if annotated '+' or unannotated-but-verified
-                if effect.terminates == "-":
-                    annotated = any(
-                        key.method_name == node.name and any(a.terminates for a in anns)
-                        for key, anns in self.registry.method_annotations.items()
-                    )
-                    if annotated:
-                        return effect
-                    return EffectInfo("+", effect.pure)
+            effect = registry.effect_of("Object", node.name, False, self.interp)
+            if has_body and effect.terminates == "-" and not any(
+                    key.method_name == node.name
+                    and any(a.terminates for a in annotations)
+                    for key, annotations in registry.method_annotations.items()):
+                # an Object method nothing annotates: the walk follows its
+                # body instead of trusting the conservative default
+                return EffectInfo("+", effect.pure)
             return effect
-
-    # receiver calls: look for any annotation naming this method
-        for key, annotations in self.registry.method_annotations.items():
+        # receiver calls: look for any annotation naming this method
+        for key, annotations in registry.method_annotations.items():
             if key.method_name == node.name:
                 terminates = next((a.terminates for a in annotations if a.terminates), None)
                 pure = next((a.pure for a in annotations if a.pure), None)
@@ -152,56 +238,16 @@ class TerminationChecker:
             return default_effect(node.receiver.name, node.name)
         return default_effect("Object", node.name)
 
-    # ------------------------------------------------------------------
-    # purity
-    # ------------------------------------------------------------------
-    def is_pure_block(self, block: ast.BlockNode) -> bool:
-        """A pure block writes no ivar/gvar and calls no impure methods."""
-        return all(self._is_pure(stmt) for stmt in block.body)
-
-    def _is_pure(self, node) -> bool:
-        if node is None or isinstance(node, (str, int, float)):
-            return True
-        if isinstance(node, ast.Assign):
-            if isinstance(node.target, (ast.IVar, ast.GVar)):
+    def _pure(self, block: ast.BlockNode) -> bool:
+        """A pure block writes no ivar/gvar, assigns no index or attribute,
+        and calls no impure method."""
+        for node in ast.walk(block):
+            if isinstance(node, ast.Assign):
+                if isinstance(node.target, (ast.IVar, ast.GVar)):
+                    return False
+            elif isinstance(node, (ast.IndexAssign, ast.AttrAssign)):
                 return False
-            return self._is_pure(node.value)
-        if isinstance(node, (ast.IndexAssign, ast.AttrAssign)):
-            return False
-        if isinstance(node, ast.MethodCall):
-            effect = self._effect_for(node)
-            if effect.pure == "-":
+            elif isinstance(node, ast.MethodCall) and \
+                    self._effect_for(node).pure == "-":
                 return False
-            children_pure = all(self._is_pure(a) for a in node.args)
-            if node.receiver is not None:
-                children_pure = children_pure and self._is_pure(node.receiver)
-            if node.block is not None:
-                children_pure = children_pure and self.is_pure_block(node.block)
-            return children_pure
-        result = True
-
-        def visit(child):
-            nonlocal result
-            if not self._is_pure(child):
-                result = False
-
-        self._each_child(node, visit)
-        return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _each_child(node, visit) -> None:
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            if field_name in ("line", "node_id"):
-                continue
-            value = getattr(node, field_name)
-            if isinstance(value, ast.Node):
-                visit(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.Node):
-                        visit(item)
-                    elif isinstance(item, tuple):
-                        for part in item:
-                            if isinstance(part, ast.Node):
-                                visit(part)
+        return True

@@ -181,34 +181,6 @@ def render_warm_recheck(workers: int = 2, backend: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def render_lint(backend: str | None = None) -> str:
-    """Static analysis over every subject app (``--lint``): per-app
-    footprint/diagnostic counts plus each finding, no checking performed."""
-    from repro.analysis import analyze_universe
-    from repro.apps import all_apps
-
-    lines = ["", "Static analysis (repro.analysis) over the subject apps:",
-             f"  {'app':<12}{'methods':>8}{'wildcard':>9}{'tables':>7}"
-             f"{'errors':>7}{'warnings':>9}"]
-    findings: list[str] = []
-    for app in all_apps():
-        rdl = app.build(backend=backend)
-        report = analyze_universe(rdl, label=app.label)
-        counts = report.counts()
-        lines.append(
-            f"  {app.label:<12}{counts['methods']:>8}"
-            f"{counts['wildcard_footprints']:>9}{counts['tables_named']:>7}"
-            f"{counts['errors']:>7}{counts['warnings']:>9}")
-        findings.extend("    " + diag.render() for diag in report.diagnostics)
-    if findings:
-        lines.append("  findings:")
-        lines.extend(findings)
-    else:
-        lines.append("  no diagnostics: every comp type and helper passes "
-                     "the purity/termination lint")
-    return "\n".join(lines)
-
-
 def explain_verdict(target: str, backend: str | None = None) -> str:
     """Render the provenance tree for one subject-app method's verdict.
 
@@ -277,10 +249,6 @@ if __name__ == "__main__":
                      help="also demo warm session rechecks: migrate each "
                           "app's busiest table and re-verify only the "
                           "dirty methods on live worker replicas")
-    cli.add_argument("--lint", action="store_true",
-                     help="also run the static analyzer over every subject "
-                          "app: dependency-footprint summary plus "
-                          "purity/termination diagnostics (no checking)")
     cli.add_argument("--explain", metavar="CLASS#METHOD", default=None,
                      help="explain one subject-app method's verdict: check "
                           "its app with the provenance ledger enabled and "
@@ -308,8 +276,6 @@ if __name__ == "__main__":
     if options.warm:
         print(render_warm_recheck(max(2, options.workers),
                                   backend=options.backend))
-    if options.lint:
-        print(render_lint(backend=options.backend))
     if options.trace:
         obs.export_chrome_trace(options.trace, metrics=obs.metrics_snapshot())
         print()

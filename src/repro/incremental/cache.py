@@ -2,9 +2,9 @@
 
 Two caches back the comp engine:
 
-* :class:`AstCache` — parsed (and termination-checked) comp programs, keyed
-  on source text.  Comp code never changes behind our back, so entries
-  live forever (bounded only by distinct comp expressions).
+* :class:`AstCache` — parsed comp programs, keyed on source text.  Comp
+  code never changes behind our back, so entries live forever (bounded
+  only by distinct comp expressions).
 
 * :class:`CompEvalCache` — evaluated comp results, keyed on
   ``(comp code, binding types)`` and stamped with the schema generation and
@@ -102,7 +102,7 @@ class CompEvalCache:
 
 
 class AstCache:
-    """Parsed + termination-checked comp programs, keyed on source text."""
+    """Parsed comp programs, keyed on source text."""
 
     def __init__(self, maxsize: int = 8192,
                  stats: IncrementalStats | None = None):

@@ -97,12 +97,23 @@ class IncrementalScheduler:
         self.stats.extra["analysis.footprints_seeded"] = \
             len(self.static_footprints)
 
-    def on_method_change(self, key) -> None:
-        """A ``load`` redefined a method or added an annotation: its cached
-        verdict (if any) is stale regardless of the schema generation."""
+    def on_method_change(self, key, redefined) -> None:
+        """A ``load`` defined a method or added an annotation: its cached
+        verdict (if any) is stale regardless of the schema generation.  A
+        *re*definition or re-annotation may change what a type-level helper
+        computes, so every cached verdict that evaluated a comp (or recorded
+        no dependencies) is stale too; a brand-new key dirties only itself."""
         if key in self.results:
             self.dirty.add(key)
             self.stats.methods_dirtied += 1
+        if redefined:
+            stale = set()
+            for other in self.results:
+                deps = self.tracker.deps_of(other)
+                if other not in self.dirty and (deps is None or deps.comps):
+                    stale.add(other)
+            self.dirty |= stale
+            self.stats.methods_dirtied += len(stale)
 
     def mark_all_dirty(self) -> None:
         """Escape hatch: force full re-verification on the next pass."""

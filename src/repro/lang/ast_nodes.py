@@ -344,3 +344,43 @@ class Raise(Node):
 @dataclass(slots=True)
 class Program(Node):
     body: list = field(default_factory=list)
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+#: fields that never hold child nodes: positions, call ids, compiled closures
+_NOT_CHILDREN = frozenset({"line", "col", "compiled", "node_id"})
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def children(node: Node):
+    """The nodes directly under ``node``, in field (source) order: node
+    fields, node list items, and the parts of tuple items (hash pairs)."""
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = _CHILD_FIELDS[type(node)] = tuple(
+            name for name in node.__dataclass_fields__
+            if name not in _NOT_CHILDREN)
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            yield value
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, Node):
+                    yield item
+                elif isinstance(item, tuple):
+                    for part in item:
+                        if isinstance(part, Node):
+                            yield part
+
+
+def walk(node: Node):
+    """Every node reachable from ``node`` (inclusive), iteratively."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(children(current))

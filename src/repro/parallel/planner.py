@@ -23,7 +23,6 @@ verdict-parity merge).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.lang import ast_nodes as ast
@@ -42,22 +41,8 @@ def comp_site_count(node) -> int:
     """Count ``MethodCall`` nodes reachable from an AST node — each call is
     a potential comp evaluation during checking (operators included, since
     the parser desugars them to calls)."""
-    count = 0
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.MethodCall):
-            count += 1
-        if isinstance(current, ast.Node):
-            # AST nodes are slotted dataclasses — walk their declared fields
-            stack.extend(getattr(current, field.name)
-                         for field in dataclasses.fields(current)
-                         if field.name != "compiled")
-        elif isinstance(current, list):
-            stack.extend(current)
-        elif isinstance(current, tuple):
-            stack.extend(current)
-    return count
+    return sum(isinstance(current, ast.MethodCall)
+               for current in ast.walk(node))
 
 
 def method_cost(spec: MethodSpec, registry=None, stats=None,

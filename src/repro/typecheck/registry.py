@@ -75,18 +75,20 @@ class AnnotationRegistry:
         # annotation accounting for Table 1
         self.comp_annotation_count: dict[str, int] = {}
         self.helper_methods: set[str] = set()
-        # ``listener(key)`` fires when a method is (re)defined or gains an
-        # annotation — the incremental scheduler uses it to dirty verdicts
-        # that a ``load`` invalidated without any schema change
+        # ``listener(key, redefined)`` fires when a method is defined or
+        # gains an annotation; ``redefined`` says the key already had a body
+        # (for a definition) or annotations (for an annotation) — the
+        # incremental scheduler uses it to dirty verdicts that a ``load``
+        # invalidated without any schema change
         self.method_listeners: list = []
 
     def add_method_listener(self, listener) -> None:
         if listener not in self.method_listeners:
             self.method_listeners.append(listener)
 
-    def _notify_method_changed(self, key: MethodKey) -> None:
+    def _notify_method_changed(self, key: MethodKey, redefined: bool) -> None:
         for listener in self.method_listeners:
-            listener(key)
+            listener(key, redefined)
 
     # ------------------------------------------------------------------
     # directive handlers (called from native methods)
@@ -179,7 +181,9 @@ class AnnotationRegistry:
     # registration API (used by directives and by Python-side annotators)
     # ------------------------------------------------------------------
     def add_annotation(self, key: MethodKey, annotation: MethodAnnotation) -> None:
-        self.method_annotations.setdefault(key, []).append(annotation)
+        annotations = self.method_annotations.setdefault(key, [])
+        redefined = bool(annotations)
+        annotations.append(annotation)
         if annotation.label:
             # one entry per method regardless of how many of its annotations
             # carry the label: check_label and the parallel fleet both walk
@@ -189,7 +193,7 @@ class AnnotationRegistry:
             self.comp_annotation_count[key.class_name] = (
                 self.comp_annotation_count.get(key.class_name, 0) + 1
             )
-        self._notify_method_changed(key)
+        self._notify_method_changed(key, redefined)
 
     def annotate(
         self,
@@ -214,10 +218,11 @@ class AnnotationRegistry:
     # ------------------------------------------------------------------
     def note_method_defined(self, class_name: str, node: ast.MethodDef, static: bool) -> None:
         key = MethodKey(class_name, node.name, static)
+        redefined = key in self.defined_methods
         self.defined_methods[key] = node
         for annotation in self.pending.pop(class_name, []):
             self.add_annotation(key, annotation)
-        self._notify_method_changed(key)
+        self._notify_method_changed(key, redefined)
 
     def note_class(self, name: str, superclass: str) -> None:
         self.class_parents.setdefault(name, superclass)

@@ -86,6 +86,24 @@ def test_lint_flags_every_dynamically_rejected_comp(rdl, source, code):
         {"COMP001", "COMP002", "COMP003"}
 
 
+@pytest.mark.parametrize("source,code", REJECTED_COMPS.values(),
+                         ids=REJECTED_COMPS)
+def test_dynamic_error_is_the_lints_first_error(rdl, source, code):
+    """One walk: the TerminationError sits where the lint's first error
+    does."""
+    if source:
+        rdl.load(source)
+    with pytest.raises(TerminationError) as raised:
+        rdl.checker.engine.evaluate(CompExpr(code), {})
+    findings = EffectLinter(rdl.registry, rdl.interp).lint_comp(code, "T#m")
+    first = next(f for f in findings if f.severity == "error")
+    assert (raised.value.line, raised.value.col) == (first.line, first.col)
+    assert raised.value.line >= 1 and raised.value.col >= 1
+    # the same finding: the engine names a comp by its code, a helper by key
+    owner = code if first.owner == "T#m" else first.owner
+    assert raised.value.message == f"{first.message} ({owner})"
+
+
 class TestUniverseLint:
     def test_annotation_calling_looping_object_method_surfaces(self, rdl):
         rdl.load(SPIN_FOREVER)

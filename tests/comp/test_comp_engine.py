@@ -136,7 +136,7 @@ class TestTermination:
         assert "termination.cycle_assumed" in names
         # the cycle key must name the helper that recursed
         checker = rdl.checker.engine.termination
-        assert "Object#spin" in checker._verified
+        assert ("helper", "spin") in checker._walks
 
 
 class TestConsistencyCache:

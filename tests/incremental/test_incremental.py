@@ -273,6 +273,71 @@ def test_redefining_a_type_level_helper_invalidates_comp_cache():
     assert not full.ok()  # the redefined helper genuinely changed verdicts
 
 
+PICK_APP = """
+type :pick_type, "() -> Type", terminates: :+, pure: :+
+def pick_type
+  Nominal.new(Integer)
+end
+comp_helper :pick_type
+
+class Thing
+  type :"self.make", "() -> «pick_type()»"
+  def self.make()
+    1
+  end
+
+  type :"self.go", "() -> Integer", typecheck: :pick
+  def self.go()
+    Thing.make()
+  end
+end
+"""
+
+PICK_REDEF = """
+def pick_type
+  Nominal.new(String)
+end
+"""
+
+
+def test_redefining_a_helper_dirties_every_verdict_that_evaluated_a_comp():
+    # incremental ≡ full after a helper redefinition, with no escape hatch:
+    # the redefined key has no verdict of its own, but Thing.go's verdict
+    # evaluated a comp that calls it
+    rdl = CompRDL()
+    rdl.load(PICK_APP)
+    assert rdl.check_all("pick").ok()
+    rdl.load(PICK_REDEF)
+    incremental = rdl.check_all("pick")
+
+    fresh = CompRDL()
+    fresh.load(PICK_APP)
+    fresh.load(PICK_REDEF)
+    full = fresh.check_all("pick")
+    assert len(full.errors) == 1
+    assert [str(e) for e in incremental.errors] == \
+        [str(e) for e in full.errors] == \
+        [str(e) for e in rdl.check("pick").errors]
+
+
+def test_a_brand_new_method_dirties_only_itself():
+    rdl = build_universe()
+    assert rdl.check_all("inc").ok()
+    dirtied = rdl.incremental_stats.methods_dirtied
+    rdl.load("""
+class Extra
+  type :"self.total", "() -> Integer", typecheck: :inc
+  def self.total()
+    User.count
+  end
+end
+""")
+    assert rdl.incremental.dirty == set()
+    assert rdl.incremental_stats.methods_dirtied == dirtied
+    report = rdl.recheck_dirty()
+    assert report.ok() and "Extra.total" in report.checked_methods
+
+
 def test_redefining_a_method_dirties_its_cached_verdict():
     rdl = build_universe()
     assert rdl.check_all("inc").ok()
