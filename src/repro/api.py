@@ -95,7 +95,7 @@ class CompRDL:
         self._warm_engine = None
         # True when _warm_engine was adopted from a caller-owned fleet
         # (adopt_warm_engine): shutdown_warm then detaches instead of
-        # closing — the owner's cold rounds must keep working
+        # closing — the owner's other universes must keep working
         self._warm_engine_adopted = False
         # per-recv reply deadline for warm session workers (None → the
         # process default, sessions.DEADLINE_S); set before the first
@@ -253,8 +253,8 @@ class CompRDL:
         """Use ``engine``'s worker fleet for ``check_all(workers=N)`` and
         ``recheck_dirty(workers=N)``.
 
-        A fleet that already ran cold rounds (or was primed) holds pristine
-        replicas in its workers' warm catalogs, so the first session attach
+        A primed fleet (``engine.prime(labels)``) holds pristine replicas
+        in its workers' warm catalogs, so the first session attach
         adopts them instead of rebuilding — the shared-catalog path that
         collapses warm-setup cost.  The adopting universe does NOT own the
         engine: ``shutdown_warm()`` releases the reference without closing

@@ -217,23 +217,23 @@ class TerminationChecker:
         the type level, so consult annotations by method name, then the
         default table."""
         registry = self.registry
+        named = [registry.method_annotations[key]
+                 for key in registry.annotated_by_name.get(node.name, ())]
         if node.receiver is None:
             effect = registry.effect_of("Object", node.name, False, self.interp)
             if has_body and effect.terminates == "-" and not any(
-                    key.method_name == node.name
-                    and any(a.terminates for a in annotations)
-                    for key, annotations in registry.method_annotations.items()):
+                    a.terminates for annotations in named
+                    for a in annotations):
                 # an Object method nothing annotates: the walk follows its
                 # body instead of trusting the conservative default
                 return EffectInfo("+", effect.pure)
             return effect
         # receiver calls: look for any annotation naming this method
-        for key, annotations in registry.method_annotations.items():
-            if key.method_name == node.name:
-                terminates = next((a.terminates for a in annotations if a.terminates), None)
-                pure = next((a.pure for a in annotations if a.pure), None)
-                if terminates or pure:
-                    return EffectInfo(terminates or "+", pure or "+")
+        for annotations in named:
+            terminates = next((a.terminates for a in annotations if a.terminates), None)
+            pure = next((a.pure for a in annotations if a.pure), None)
+            if terminates or pure:
+                return EffectInfo(terminates or "+", pure or "+")
         if isinstance(node.receiver, ast.ConstRef):
             return default_effect(node.receiver.name, node.name)
         return default_effect("Object", node.name)

@@ -5,9 +5,10 @@ lines of type-level code, and shared helper methods — side by side with the
 paper's reported numbers.
 
 Run with ``python -m repro.evaluation.table1``.  Pass ``--check-apps`` to
-additionally cold-check every subject-app method those libraries serve
-(the paper checks them serially; ``--workers N`` shards the methods across
-a parallel worker fleet, see :mod:`repro.parallel`).
+additionally cold-check every subject-app method those libraries serve,
+one app at a time as the paper does (``--workers N`` makes each app's
+check a ``check_all(label, workers=N)`` round on session workers, see
+:mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -79,42 +80,40 @@ def render_table1(rows: dict | None = None) -> str:
 
 
 def fleet_check_rows(workers: int = 1, backend: str | None = None) -> dict:
-    """Cold-check every subject app's labelled methods, per label.
+    """Cold-check every subject app's labelled methods, one app at a time.
 
-    With ``workers > 1`` the combined method set is sharded across a
-    parallel worker fleet; the verdicts are identical to a serial walk
-    either way (the merge guarantees it).  ``backend`` selects the storage
-    backend every universe is built against (memory or sqlite) — verdicts
-    are identical on both, which is the point.
+    Each app is a fresh universe checked with ``check_all(label,
+    workers=N)``: with ``workers > 1`` that is a session round on a fresh
+    fleet, whose verdicts are identical to a serial walk either way.
+    ``backend`` selects the storage backend every universe is built
+    against (memory or sqlite) — verdicts are identical on both, which is
+    the point.  Methods, errors, wall time and critical path are summed
+    over the apps; an app checked in-process counts its wall time as its
+    critical path.
     """
     import time
 
     from repro.apps import all_apps
-    from repro.parallel import check_fleet
+    from repro.parallel import ParallelCheckEngine
 
-    labels = [app.label for app in all_apps()]
-    start = time.perf_counter()
-    run = check_fleet(labels, workers=workers, backend=backend)
-    wall = time.perf_counter() - start
-    specs = _fleet_specs(run)
-    per_label = {
-        app.label: {"methods": sum(1 for s in specs if s.label == app.label)}
-        for app in all_apps()
-    }
-    return {
-        "labels": per_label,
-        "methods": len(run.report.checked_methods),
-        "errors": [str(e) for e in run.report.errors],
-        "workers": workers,
-        "backend": backend or "default",
-        "shards": len(run.shards),
-        "wall_s": wall,
-        "critical_path_s": run.critical_path_s,
-    }
-
-
-def _fleet_specs(run):
-    return [spec for shard in run.shards for spec in shard.specs]
+    rows = {"methods": 0, "errors": [], "workers": workers,
+            "backend": backend or "default", "wall_s": 0.0,
+            "critical_path_s": 0.0}
+    for app in all_apps():
+        rdl = app.build(backend=backend)
+        with ParallelCheckEngine(workers=workers, backend=backend) as engine:
+            rdl.adopt_warm_engine(engine)
+            start = time.perf_counter()
+            report = rdl.check_all(app.label, workers=workers)
+            wall = time.perf_counter() - start
+            run = engine.last_warm_run
+        rows["methods"] += len(report.checked_methods)
+        rows["errors"].extend(str(e) for e in report.errors)
+        rows["wall_s"] += wall
+        rows["critical_path_s"] += (run.critical_path_s
+                                    if run is not None and run.remote
+                                    else wall)
+    return rows
 
 
 def warm_recheck_rows(workers: int = 2, backend: str | None = None) -> dict:
@@ -222,8 +221,8 @@ def render_fleet_check(workers: int = 1, backend: str | None = None) -> str:
     rows = fleet_check_rows(workers, backend=backend)
     lines = [
         "",
-        f"Subject-app cold check ({rows['workers']} worker(s), "
-        f"{rows['shards']} shard(s), {rows['backend']} backend):",
+        f"Subject-app cold check ({rows['workers']} worker(s) per app, "
+        f"{rows['backend']} backend):",
         f"  methods checked: {rows['methods']}  "
         f"errors: {len(rows['errors'])}  "
         f"wall: {rows['wall_s']:.3f}s  "
@@ -240,7 +239,7 @@ if __name__ == "__main__":
     cli.add_argument("--check-apps", action="store_true",
                      help="also cold-check every subject-app method")
     cli.add_argument("--workers", type=int, default=1,
-                     help="shard the app check across N worker processes")
+                     help="check each app across N session workers")
     cli.add_argument("--backend", default=None,
                      choices=["memory", "sqlite"],
                      help="storage backend for every universe "

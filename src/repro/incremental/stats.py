@@ -96,9 +96,8 @@ class IncrementalStats:
         These keys are the public contract consumed by perfbench,
         ``obs.metrics_snapshot()`` and downstream charting — rename only
         with a deprecation story.  ``extra`` is keyed by stable names
-        already and merges in as is; ``planner.split_bias``,
-        ``warm.retries`` and ``warm.fallbacks`` are present even before
-        anything sets them.
+        already and merges in as is; ``warm.retries`` and
+        ``warm.fallbacks`` are present even before anything sets them.
         """
         snap = {
             "comp_cache.hits": self.comp_hits,
@@ -118,7 +117,6 @@ class IncrementalStats:
             "schema.events": self.schema_events,
             "fleet.shards": self.parallel_shards,
             "fleet.rounds": self.parallel_rounds,
-            "planner.split_bias": 1.0,
             "planner.cost_model_size": len(self.method_costs),
             "warm.retries": 0,
             "warm.fallbacks": 0,

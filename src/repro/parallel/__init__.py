@@ -1,34 +1,26 @@
-"""Parallel sharded checking: planner → session workers → verdict-parity merge.
+"""Parallel checking: session workers → verdict-parity back-feed.
 
-The fleet partitions the methods of one or more subject-app labels into
-cost-balanced shards (:mod:`repro.parallel.planner`), checks each shard in a
-spawn-mode session worker (:mod:`repro.parallel.worker`), and
-deterministically folds the picklable verdicts back into a single report
-that is verdict-for-verdict identical to a serial run, back-feeding
-dependency footprints into the incremental engine
-(:mod:`repro.parallel.merge`).
+A :class:`ParallelCheckEngine` keeps a pool of spawn-mode session workers
+(:mod:`repro.parallel.sessions`) that attach replicas of a live universe's
+subject app once, then receive schema-journal deltas and post-build load
+records (:class:`SessionDelta`) instead of rebuilding.  Each round
+partitions one label's pending methods into cost-balanced shards
+(:mod:`repro.parallel.planner`), checks each shard on a worker
+(:mod:`repro.parallel.worker`) and adopts the picklable verdicts and their
+dependency footprints back into the universe's incremental engine
+(:mod:`repro.parallel.merge`), so the report is verdict-for-verdict
+identical to a serial run.  Every worker speaks one protocol
+(:mod:`repro.parallel.protocol`).
 
-Every worker speaks one protocol (:mod:`repro.parallel.protocol`).  A cold
-check of subject-app labels is a :class:`CheckRequest` with session id
-``None``, which the worker serves from its catalog of pristine replicas
-(built once per process).  A live universe is checked through **warm
-sessions** (:mod:`repro.parallel.sessions`): session workers attach
-replicas of its subject app once, then receive schema-journal deltas and
-post-build load records (:class:`SessionDelta`) and check only pending
-methods — no rebuilds between rounds.  ``CompRDL.check_all(labels,
-workers=N)`` and ``CompRDL.recheck_dirty(workers=N)`` are both such rounds;
-a cold check is an attach with an empty delta.
-
-Use :class:`ParallelCheckEngine` for a persistent fleet,
-:func:`check_fleet` for one-shot checks of subject-app labels, or the two
-``CompRDL`` calls above for a live universe.
+``CompRDL.check_all(label, workers=N)`` and ``CompRDL.recheck_dirty(
+workers=N)`` are both such rounds — a cold check is an attach with an empty
+delta — and several apps are one round per app.  Pass a primed engine to
+``CompRDL.adopt_warm_engine`` to share one fleet across universes.
 """
 
 from repro.parallel.engine import (
     ParallelCheckEngine,
-    ParallelRun,
     WarmSyncError,
-    check_fleet,
     specs_for_labels,
 )
 from repro.parallel.merge import (
@@ -66,7 +58,6 @@ __all__ = [
     "MethodSpec",
     "MethodVerdict",
     "ParallelCheckEngine",
-    "ParallelRun",
     "SessionDelta",
     "SessionError",
     "SessionPool",
@@ -78,7 +69,6 @@ __all__ = [
     "WarmRun",
     "WarmSyncError",
     "WorkerLost",
-    "check_fleet",
     "feed_incremental",
     "merge_report",
     "method_cost",

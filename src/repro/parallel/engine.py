@@ -1,45 +1,35 @@
 """The parallel checking fleet: pool management and orchestration.
 
-Every off-process check speaks the session protocol
-(:mod:`repro.parallel.protocol`) to one pool of session workers:
+:class:`ParallelCheckEngine` keeps one pool of spawn-mode session workers
+(:mod:`repro.parallel.sessions`) warm between rounds and checks a *live*
+universe on it.  Session workers keep replicas of the universe's subject
+app, receive schema-journal deltas plus post-build load records, and check
+only the pending methods; the report is verdict-for-verdict identical to the
+serial incremental path.  ``CompRDL.check_all(label, workers=N)`` is
+:meth:`ParallelCheckEngine.check` — a cold check is a session attach with an
+empty delta — and ``CompRDL.recheck_dirty(workers=N)`` is
+:meth:`~ParallelCheckEngine.recheck_dirty`.  Several apps are several such
+rounds, one per app.  :meth:`~ParallelCheckEngine.prime` prebuilds pristine
+replicas in every worker, so a later attach adopts them instead of
+building.
 
-* :class:`ParallelCheckEngine` — a persistent fleet for checking one or
-  more subject-app labels across spawn workers, keeping the worker pool
-  warm between rounds (a cold check of the combined apps is one round; a
-  long-lived checking service runs many).  A cold round sends each shard
-  as a ``CheckRequest`` with session id ``None``, which the worker checks
-  against its pristine replica catalog.  Observed per-method and
-  per-app-build costs flow back into the engine's stats after every round
-  (EWMA), and observed shard *imbalance* tunes the planner's split
-  threshold, so later plans balance on measurements instead of heuristics.
-* the engine's **warm session** methods (:meth:`ParallelCheckEngine.attach`
-  / :meth:`migrate` / :meth:`check` / :meth:`recheck_dirty`) — a live
-  universe's checks: session workers keep replicas of its subject app,
-  receive schema-journal deltas plus post-build load records, and check
-  only the pending methods; the merged report is verdict-for-verdict
-  identical to the serial incremental path.  ``CompRDL.check_all(labels,
-  workers=N)`` is :meth:`check`: a cold check is a session attach with an
-  empty delta.  A universe whose ``replay_blocker`` is set (a post-build
-  method *re*definition — a redefined type-level helper can change any
-  verdict, which no dependency footprint bounds — among others), or whose
-  journal has forgotten the needed events, falls back to the serial
-  incremental path.
+A universe whose ``replay_blocker`` is set (a post-build method
+*re*definition — a redefined type-level helper can change any verdict,
+which no dependency footprint bounds — among others), that spans several
+labels, or whose journal has forgotten the needed events, falls back to the
+serial incremental path.
 """
 
 from __future__ import annotations
 
-import os
 import time
-# not used by the engine itself: kept as a module attribute because the
-# benchmark's traced runs (perfbench/ledger.py) patch it
+# perfbench/ledger.py wraps ProcessPoolExecutor, merge_report, feed_incremental
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
 
 from repro.incremental.stats import IncrementalStats
 from repro.obs import provenance as obs_prov
 from repro.obs import spans as obs_spans
-from repro.parallel import worker as worker_mod
-from repro.parallel.merge import feed_incremental, merge_report
+from repro.parallel.merge import feed_incremental, merge_report  # noqa: F401
 from repro.parallel.planner import Shard, plan_shards
 from repro.parallel.protocol import (
     AttachUniverse,
@@ -59,12 +49,6 @@ from repro.parallel.sessions import (
 )
 from repro.typecheck.errors import TypeErrorReport
 
-#: shard-CPU imbalance (max/mean) a round may show before the engine
-#: loosens the planner's split threshold for the next round
-SPLIT_IMBALANCE_TOLERANCE = 1.25
-#: ceiling/decay for the feedback-driven split bias
-SPLIT_BIAS_MAX = 8.0
-SPLIT_BIAS_DECAY = 0.7
 #: session-sync retry budget: a lost/failed sync drops the pool (stale
 #: pipes cannot be resynchronized) and cold-reattaches a fresh one after
 #: an exponential backoff
@@ -76,20 +60,7 @@ class WarmSyncError(RuntimeError):
     """A warm session could not be converged with the live universe."""
 
 
-@dataclass
-class ParallelRun:
-    """One fleet round: the merged report plus scheduling diagnostics."""
-
-    report: TypeErrorReport
-    shards: list[Shard] = field(default_factory=list)
-    results: list[ShardResult] = field(default_factory=list)
-    wall_s: float = 0.0          # parent-observed wall time for the round
-    plan_s: float = 0.0          # time spent planning + merging (serial part)
-    critical_path_s: float = 0.0  # max worker CPU time: projected wall on
-                                  # a machine with >= workers free cores
-
-
-def specs_for_labels(labels, registry_for_label) -> list[MethodSpec]:
+def specs_for_labels(labels, registry) -> list[MethodSpec]:
     """The serial-order method list for ``labels`` (registry order per
     label).  Dedup is by *method key*, matching the serial scheduler: a
     method annotated under several requested labels is checked once, under
@@ -97,7 +68,6 @@ def specs_for_labels(labels, registry_for_label) -> list[MethodSpec]:
     specs: list[MethodSpec] = []
     seen: set = set()
     for label in labels:
-        registry = registry_for_label(label)
         for key in registry.methods_for_label(label):
             if key not in seen:
                 seen.add(key)
@@ -124,27 +94,23 @@ def _static_costs_of(scheduler) -> dict | None:
 
 
 class ParallelCheckEngine:
-    """A persistent multi-process checking fleet over subject-app labels."""
+    """A persistent pool of session workers checking live universes."""
 
-    def __init__(self, workers: int | None = None,
+    def __init__(self, workers: int,
                  stats: IncrementalStats | None = None,
                  backend: str | None = None,
                  deadline_s: float | None = None):
-        self.workers = max(1, workers or os.cpu_count() or 1)
+        self.workers = max(1, workers)
         # per-recv reply deadline for session workers (None → the process
         # default in sessions.DEADLINE_S); a wedged worker is killed and
         # re-planned around instead of blocking the engine forever
         self.deadline_s = deadline_s
-        # storage backend name for every universe this fleet builds —
-        # parent-side catalogs and worker-side rebuilds alike (None → the
+        # storage backend name for every replica the workers build (None →
+        # the attached universe's backend, or for prime() the
         # REPRO_DB_BACKEND environment default, which spawn children
         # inherit); the name travels in each request, never a connection
         self.backend = backend
         self.stats = stats or IncrementalStats()
-        self.build_costs: dict[str, float] = {}
-        self._catalog: dict[str, object] = {}  # label -> CompRDL (enumeration)
-        # observed-imbalance feedback into the planner's split threshold
-        self.split_bias: float = 1.0
         # warm session state: a pool of stateful session workers plus the
         # universe currently attached to them
         self._session_pool: SessionPool | None = None
@@ -157,20 +123,12 @@ class ParallelCheckEngine:
     # pool lifecycle
     # ------------------------------------------------------------------
     def prime(self, labels) -> float:
-        """One-time fleet set-up for ``labels``: build the parent-side
-        catalog universes (method enumeration + serial order), spin up
-        every worker and pre-build the labels into each worker's pristine
-        replica catalog, so the first cold round — and a later session
-        attach — reuses them instead of rebuilding.  Returns the set-up
-        wall time; after this, ``check_labels`` rounds measure steady-state
-        checking only."""
+        """One-time fleet set-up for ``labels``: spin up every worker and
+        pre-build the labels into each worker's pristine replica catalog,
+        so a later session attach adopts them instead of building.  Returns
+        the set-up wall time."""
         start = time.perf_counter()
         labels = _normalize_labels(labels)
-        for label in labels:
-            self._catalog_universe(label)
-        if self.workers == 1:
-            # degenerate fleet: everything runs in-process, nothing to warm
-            return time.perf_counter() - start
         prebuild = AttachUniverse(None, tuple(labels), backend=self.backend)
         sent = []
         for handle in self._session_handles():
@@ -187,9 +145,8 @@ class ParallelCheckEngine:
         return time.perf_counter() - start
 
     def _session_handles(self):
-        """The shared session-worker pool (spawned on first use): one fleet
-        of processes serves cold shards, prebuilds and warm sessions, so
-        their module-level replica catalogs are shared."""
+        """The shared session-worker pool (spawned on first use): the
+        processes prime() prebuilds in are the ones sessions attach to."""
         if self._session_pool is None:
             self._session_pool = SessionPool(
                 self.workers, deadline_s=self.deadline_s)
@@ -214,151 +171,6 @@ class ParallelCheckEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # enumeration
-    # ------------------------------------------------------------------
-    def _registry_for_label(self, label: str):
-        return self._catalog_universe(label).registry
-
-    def _catalog_universe(self, label: str):
-        """A parent-side build of the label's app, cached: the source of the
-        serial method order and of the heuristic cost model's AST bodies."""
-        from repro.apps import app_for_label
-
-        universe = self._catalog.get(label)
-        if universe is None:
-            build_start = time.perf_counter()
-            universe = app_for_label(label).build(backend=self.backend)
-            self.build_costs.setdefault(
-                label, time.perf_counter() - build_start)
-            self._catalog[label] = universe
-        return universe
-
-    # ------------------------------------------------------------------
-    # checking
-    # ------------------------------------------------------------------
-    def check_labels(self, labels) -> ParallelRun:
-        """One cold fleet check of ``labels`` across the worker pool."""
-        labels = _normalize_labels(labels)
-        round_start = time.perf_counter()
-        round_span = obs_spans.span("fleet.round", label=",".join(labels))
-        round_span.__enter__()
-        plan_start = time.perf_counter()
-        specs = specs_for_labels(labels, self._registry_for_label)
-        shards = plan_shards(
-            specs,
-            self.workers,
-            registry_for_label=self._registry_for_label,
-            stats=self.stats,
-            build_costs=self.build_costs,
-            split_bias=self.split_bias,
-        )
-        plan_s = time.perf_counter() - plan_start
-
-        results = self._run_shards(shards)
-        for result in results:
-            obs_spans.absorb(result.spans, result.counters)
-
-        merge_start = time.perf_counter()
-        with obs_spans.span("fleet.merge"):
-            report = merge_report(specs, results)
-        plan_s += time.perf_counter() - merge_start
-        self._absorb_costs(results)
-        run = ParallelRun(
-            report=report,
-            shards=shards,
-            results=results,
-            wall_s=time.perf_counter() - round_start,
-            plan_s=plan_s,
-            critical_path_s=max((r.cpu_s for r in results), default=0.0),
-        )
-        self.stats.parallel_rounds += 1
-        round_span.set("shards", len(shards))
-        round_span.set("methods", len(specs))
-        round_span.__exit__(None, None, None)
-        return run
-
-    def _run_shards(self, shards: list[Shard]) -> list[ShardResult]:
-        requests = [
-            CheckRequest(None, shard.index, tuple(shard.specs),
-                         backend=self.backend, trace=obs_spans.enabled(),
-                         provenance=obs_prov.enabled())
-            for shard in shards
-        ]
-        if self.workers == 1 or len(requests) <= 1:
-            # degenerate fleet: check in-process
-            return [self._check_in_process(request) for request in requests]
-        # cold shards ride the session workers: same processes (and same
-        # pristine replica catalogs) as later session attaches, so a cold
-        # round's builds seed the warm path.  Send all, then recv in request
-        # order (replies are FIFO per pipe); a lost worker's shard reruns
-        # in-process so the round always completes.
-        handles = self._session_handles()
-        in_flight: list = []
-        for index, request in enumerate(requests):
-            handle = handles[index % len(handles)]
-            try:
-                handle.send(request)
-            except WorkerLost:
-                handle = None
-            in_flight.append((handle, request))
-        results: list[ShardResult] = []
-        for handle, request in in_flight:
-            result = None
-            if handle is not None:
-                try:
-                    result = handle.recv(deadline_s=self._cold_deadline())
-                except (WorkerLost, SessionRequestFailed):
-                    obs_spans.event("fleet.worker_lost",
-                                    args={"shard": request.shard_id})
-            if result is None:
-                result = self._check_in_process(request)
-            results.append(result)
-        return results
-
-    def _check_in_process(self, request: CheckRequest) -> ShardResult:
-        """Check one cold shard against this engine's own pristine catalog
-        universes (the ones enumeration already built)."""
-        result = ShardResult(shard_id=request.shard_id, pid=os.getpid())
-        with obs_spans.span("session.check", label="catalog") as sp:
-            sp.set("methods", len(request.specs))
-            worker_mod.check_specs_into(result, self._catalog_universe,
-                                        request.specs)
-        return result
-
-    def _absorb_costs(self, results: list[ShardResult]) -> None:
-        """Feed observed costs back into the planner's model (EWMA per
-        method) and observed shard imbalance into the split threshold."""
-        for result in results:
-            for label, build_s in result.build_s.items():
-                self.build_costs[label] = build_s
-            for verdict in result.verdicts:
-                self.stats.observe_cost(verdict.desc, verdict.cost_s)
-            self.stats.parallel_shards += 1
-            self.stats.methods_checked_parallel += len(result.verdicts)
-        self._absorb_imbalance(results)
-
-    def _absorb_imbalance(self, results: list[ShardResult]) -> None:
-        """Tune the planner's split eagerness from observed shard CPU.
-
-        A round whose slowest shard dominates the mean means the cost model
-        under-predicted that shard's methods — the next plan should split
-        finer (raise ``split_bias``).  Balanced rounds decay the bias back
-        toward 1.0 so a transient skew does not over-fragment forever.
-        """
-        cpu = [result.cpu_s for result in results]
-        if len(cpu) < 2:
-            return
-        mean = sum(cpu) / len(cpu)
-        if mean <= 0:
-            return
-        imbalance = max(cpu) / mean
-        if imbalance > SPLIT_IMBALANCE_TOLERANCE:
-            self.split_bias = min(self.split_bias * imbalance, SPLIT_BIAS_MAX)
-        else:
-            self.split_bias = max(1.0, self.split_bias * SPLIT_BIAS_DECAY)
-        self.stats.extra["planner.split_bias"] = self.split_bias
 
     # ------------------------------------------------------------------
     # warm sessions: attach / migrate / recheck_dirty
@@ -441,8 +253,9 @@ class ParallelCheckEngine:
         names no subject app.
 
         On an engine with no pool yet, every worker started pays a full
-        replica build, so the pool is sized by the plan the build costs
-        allow (often one worker), never above ``workers``.
+        replica build, so the pool is sized by the plan that build cost
+        (``planner.DEFAULT_BUILD_COST``) allows — often one worker, never
+        above ``workers``.
         """
         from repro.apps import app_for_label
 
@@ -455,12 +268,10 @@ class ParallelCheckEngine:
                 scheduler.labels.append(label)
         if self._session_pool is None:
             cold_plan = plan_shards(
-                specs_for_labels(labels, lambda _label: rdl.registry),
+                specs_for_labels(labels, rdl.registry),
                 self.workers,
-                registry_for_label=lambda _label: rdl.registry,
+                registry=rdl.registry,
                 stats=scheduler.stats,
-                build_costs=self.build_costs,
-                split_bias=self.split_bias,
                 static_costs=_static_costs_of(scheduler),
             )
             self._session_pool = SessionPool(
@@ -522,11 +333,10 @@ class ParallelCheckEngine:
         shards = plan_shards(
             specs,
             max(1, len(workers)),
-            registry_for_label=lambda _label: rdl.registry,
+            registry=rdl.registry,
             stats=scheduler.stats,
-            # replicas are already alive: splitting a label costs nothing
-            build_costs={label: 0.0 for label in labels},
-            split_bias=self.split_bias,
+            # replicas are already alive: splitting costs nothing
+            build_cost=0.0,
             static_costs=_static_costs_of(scheduler),
         )
         plan_s = time.perf_counter() - plan_start
@@ -535,7 +345,6 @@ class ParallelCheckEngine:
         feed_incremental(scheduler, results, generation=rdl.db.version,
                          producer={"kind": "warm",
                                    "session": self._session_id})
-        self._absorb_imbalance(results)
         scheduler.stats.parallel_rounds += 1
         # resolve() assembles the report in serial order from the adopted
         # verdicts — and is the completeness backstop: anything a lost
@@ -843,10 +652,4 @@ class ParallelCheckEngine:
         if retries:
             self.stats.bump("warm.retries", retries)
         return results, retries
-
-
-def check_fleet(labels, workers: int, backend: str | None = None) -> ParallelRun:
-    """One-shot convenience: spin a fleet up, check, tear it down."""
-    with ParallelCheckEngine(workers=workers, backend=backend) as engine:
-        return engine.check_labels(labels)
 

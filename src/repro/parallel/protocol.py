@@ -13,10 +13,9 @@ label universes between rounds, receive schema-journal deltas and
 post-build load records instead of rebuilding, and re-check only dirty
 methods.  Messages are routed to a *specific* worker process (state lives
 there), so they carry a ``session_id`` and the worker side is a dispatch
-loop (:func:`repro.parallel.worker.session_main`).  A ``session_id`` of
-``None`` names the worker's pristine replica catalog instead of a session:
-a cold check is a ``CheckRequest(None, …)`` against catalog replicas, and
-an ``AttachUniverse(None, …)`` prebuilds them.
+loop (:func:`repro.parallel.worker.session_main`).  The one message that
+names no session is ``AttachUniverse(None, …)``: it prebuilds pristine
+replicas into the worker's catalog for later attaches to adopt.
 
 Schema deltas travel as :meth:`SchemaEvent.to_wire` tuples — the stable
 encoding shared with any future socket transport.
@@ -92,7 +91,6 @@ class ShardResult:
 
     shard_id: int
     verdicts: list[MethodVerdict] = field(default_factory=list)
-    build_s: dict[str, float] = field(default_factory=dict)   # label -> seconds
     check_s: float = 0.0      # wall time spent checking (worker-side)
     cpu_s: float = 0.0        # process CPU time for the whole shard
     pid: int = 0
@@ -176,20 +174,15 @@ class DeltaAck:
 
 @dataclass(frozen=True)
 class CheckRequest:
-    """Check a method slice against a worker's live replicas.
+    """Check a method slice against a session's live replicas.
 
-    With a session id the worker resolves each spec's label to that
-    session's replica; with ``None`` (a cold check) it uses the pristine
-    replica catalog, building a missing label into it against ``backend``
-    (``build_s`` times each label's lookup or build, once per request).
-    Either way it runs the same ``check_one`` loop and returns a
-    :class:`ShardResult`.
+    The worker resolves each spec's label to that session's replica, runs
+    the ``check_one`` loop and returns a :class:`ShardResult`.
     """
 
-    session_id: str | None
+    session_id: str
     shard_id: int
     specs: tuple[MethodSpec, ...] = ()
-    backend: str | None = None
     trace: bool = False
     #: attribute comp-cache traffic per verdict worker-side (the ``prov``
     #: field on each MethodVerdict); False adds no payload at all

@@ -9,15 +9,13 @@ session id.  ``AttachUniverse`` builds live label universes once;
 against them (journal-replay parity: after a delta the replica's generation
 and ``schema_hash()`` equal the engine's); ``CheckRequest`` checks a method
 slice against the warm replicas — no rebuild, which is what makes a
-post-migration ``recheck_dirty`` round cheap at ``workers > 1``.
+post-migration ``recheck_dirty`` round cheap at ``workers > 1``.  Verdicts
+ship back together with the dependency footprints the checker recorded, so
+the parent can back-feed its incremental dependency graph.
 
-A cold check is a ``CheckRequest`` with session id ``None``: it runs
-against the process's pristine replica catalog, building each missing label
-once, exactly what a serial cold check of the same app sees.  Verdicts ship
-back together with the dependency footprints the checker recorded, so the
-parent can back-feed its incremental dependency graph.  The catalog also
-seeds session attaches, so a cold round's builds are reused by the next
-warm attach.
+An ``AttachUniverse`` with session id ``None`` (fleet priming) builds its
+labels into the process's pristine replica catalog instead; a later session
+attach adopts those replicas rather than building its own.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ def _trace_begin(message) -> tuple | None:
     Workers are spawned, so they inherit the *environment* but not the
     parent's flag — each request re-derives the state from its ``trace``
     field (the engine stamps it with its own flag) or ``REPRO_TRACE``.
-    The mark keeps an in-process call (``workers == 1`` fallback) from
-    draining spans the caller recorded before this request.
+    The mark keeps a call in the caller's own process from draining spans
+    the caller recorded before this request.
 
     The provenance flag is re-derived the same way (``provenance`` field /
     ``REPRO_PROVENANCE``), so per-verdict attribution in
@@ -86,15 +84,13 @@ def _trace_end(reply, mark: tuple | None):
 
 
 # ---------------------------------------------------------------------------
-# pristine replica catalog: cold checks build into it, attaches adopt from it
+# pristine replica catalog: priming builds into it, attaches adopt from it
 # ---------------------------------------------------------------------------
 
-#: label universes built pristine by cold checks / prebuilds, kept for reuse
-#: by later cold checks and *taken* by session attaches in this process —
-#: the cold fleet and the warm sessions build the same apps, so one replica
-#: set serves both.  Keyed by (label, backend name): a replica must never
-#: cross storage backends.  Only worker processes (:func:`session_main`)
-#: reach it: the parent checks in-process against its engine's own catalog.
+#: label universes built pristine by fleet priming, *taken* by session
+#: attaches in this process.  Keyed by (label, backend name): a replica must
+#: never cross storage backends.  Only worker processes
+#: (:func:`session_main`) reach it.
 _WARM_CATALOG: dict[tuple, object] = {}
 
 
@@ -217,9 +213,9 @@ def _attach(sessions: dict, message: AttachUniverse) -> AttachAck:
                 rdl = _catalog_build(label, message.backend)
             else:
                 # adopt a cataloged pristine replica when one exists (built
-                # by an earlier cold check or prebuild in this process) —
-                # the ack still reports its generation, so the engine's
-                # pristine assertion guards the reuse like a fresh build
+                # by an earlier prebuild in this process) — the ack still
+                # reports its generation, so the engine's pristine
+                # assertion guards the reuse like a fresh build
                 rdl = _catalog_take(label, message.backend)
                 if rdl is None:
                     rdl = app_for_label(label).build(backend=message.backend)
@@ -277,28 +273,16 @@ def _apply_delta(sessions: dict, message: SessionDelta) -> DeltaAck:
 def _check(sessions: dict, message: CheckRequest) -> ShardResult:
     trace_mark = _trace_begin(message)
     result = ShardResult(shard_id=message.shard_id, pid=os.getpid())
-    if message.session_id is None:
-        universes: dict[str, object] = {}
+    session = _session_of(sessions, message.session_id)
 
-        def resolve(label: str):
-            rdl = universes.get(label)
-            if rdl is None:
-                build_start = time.perf_counter()
-                rdl = universes[label] = _catalog_build(label, message.backend)
-                result.build_s[label] = time.perf_counter() - build_start
-            return rdl
-    else:
-        session = _session_of(sessions, message.session_id)
+    def resolve(label: str):
+        rdl = session.get(label)
+        if rdl is None:
+            raise KeyError(f"session {message.session_id!r} has no "
+                           f"replica for label {label!r}")
+        return rdl
 
-        def resolve(label: str):
-            rdl = session.get(label)
-            if rdl is None:
-                raise KeyError(f"session {message.session_id!r} has no "
-                               f"replica for label {label!r}")
-            return rdl
-
-    with obs_spans.span("session.check",
-                        label=message.session_id or "catalog") as sp:
+    with obs_spans.span("session.check", label=message.session_id) as sp:
         sp.set("methods", len(message.specs))
         check_specs_into(result, resolve, message.specs)
     return _trace_end(result, trace_mark)

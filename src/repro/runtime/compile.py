@@ -882,9 +882,11 @@ def _c_method_def(node, root):
         owner = f.defining_class or i.classes["Object"]
         method = RMethod(name, params=node.params, body=node.body)
         method.code = code
+        replaced = name in (owner.smethods if is_self else owner.imethods)
         owner.define(name, method, static=is_self)
         if i.registry is not None:
-            i.registry.note_method_defined(owner.name, node, is_self)
+            i.registry.note_method_defined(owner.name, node, is_self,
+                                           replaced)
         return sym
 
     return run

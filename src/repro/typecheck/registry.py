@@ -63,6 +63,8 @@ class AnnotationRegistry:
 
     def __init__(self) -> None:
         self.method_annotations: dict[MethodKey, list[MethodAnnotation]] = {}
+        # method name -> the annotated keys of that name, in annotation order
+        self.annotated_by_name: dict[str, list[MethodKey]] = {}
         self.pending: dict[str, list[MethodAnnotation]] = {}
         # label -> insertion-ordered set of keys (dict values unused)
         self.labels: dict[str, dict[MethodKey, None]] = {}
@@ -76,10 +78,10 @@ class AnnotationRegistry:
         self.comp_annotation_count: dict[str, int] = {}
         self.helper_methods: set[str] = set()
         # ``listener(key, redefined)`` fires when a method is defined or
-        # gains an annotation; ``redefined`` says the key already had a body
-        # (for a definition) or annotations (for an annotation) — the
-        # incremental scheduler uses it to dirty verdicts that a ``load``
-        # invalidated without any schema change
+        # gains an annotation; ``redefined`` says the key already had an
+        # implementation (for a definition) or annotations (for an
+        # annotation) — the incremental scheduler uses it to dirty verdicts
+        # that a ``load`` invalidated without any schema change
         self.method_listeners: list = []
 
     def add_method_listener(self, listener) -> None:
@@ -181,7 +183,10 @@ class AnnotationRegistry:
     # registration API (used by directives and by Python-side annotators)
     # ------------------------------------------------------------------
     def add_annotation(self, key: MethodKey, annotation: MethodAnnotation) -> None:
-        annotations = self.method_annotations.setdefault(key, [])
+        annotations = self.method_annotations.get(key)
+        if annotations is None:
+            annotations = self.method_annotations[key] = []
+            self.annotated_by_name.setdefault(key.method_name, []).append(key)
         redefined = bool(annotations)
         annotations.append(annotation)
         if annotation.label:
@@ -216,9 +221,13 @@ class AnnotationRegistry:
     # ------------------------------------------------------------------
     # interpreter hooks
     # ------------------------------------------------------------------
-    def note_method_defined(self, class_name: str, node: ast.MethodDef, static: bool) -> None:
+    def note_method_defined(self, class_name: str, node: ast.MethodDef,
+                            static: bool, replaced: bool = False) -> None:
+        """``replaced`` says the class already held a method of this name
+        (a native one has no body here): either way the ``def`` replaces an
+        implementation, so it is a redefinition.  Annotations alone are not."""
         key = MethodKey(class_name, node.name, static)
-        redefined = key in self.defined_methods
+        redefined = replaced or key in self.defined_methods
         self.defined_methods[key] = node
         for annotation in self.pending.pop(class_name, []):
             self.add_annotation(key, annotation)

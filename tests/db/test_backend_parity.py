@@ -202,14 +202,16 @@ def test_combined_apps_identical_verdicts_across_backends():
 
 @pytest.mark.slow
 def test_combined_apps_identical_verdicts_with_worker_fleet():
-    from repro.parallel import check_fleet
     from repro.apps import all_apps
 
-    labels = [app.label for app in all_apps()]
-    memory = check_fleet(labels, workers=4, backend="memory")
-    sqlite = check_fleet(labels, workers=4, backend="sqlite")
-    assert _report_key(memory.report) == _report_key(sqlite.report)
-    assert len(memory.report.checked_methods) > 0
+    checked = 0
+    for app in all_apps():
+        memory, sqlite = (
+            app.build(backend=backend).check_all(app.label, workers=4)
+            for backend in ("memory", "sqlite"))
+        assert _report_key(memory) == _report_key(sqlite), app.name
+        checked += len(memory.checked_methods)
+    assert checked > 0
 
 
 @pytest.mark.slow

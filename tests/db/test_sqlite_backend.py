@@ -161,7 +161,9 @@ class TestWorkerSafety:
             pickle.dumps(db.backend)
 
     def test_cold_check_requests_carry_the_backend_name(self):
-        from repro.parallel.protocol import CheckRequest
+        # a cold check is a session attach: the attach names the backend
+        # the worker builds its replicas against
+        from repro.parallel.protocol import AttachUniverse
 
-        request = CheckRequest(None, 0, backend="sqlite")
+        request = AttachUniverse("session", ("huginn",), backend="sqlite")
         assert pickle.loads(pickle.dumps(request)).backend == "sqlite"

@@ -320,6 +320,46 @@ def test_redefining_a_helper_dirties_every_verdict_that_evaluated_a_comp():
         [str(e) for e in rdl.check("pick").errors]
 
 
+NATIVE_APP = """
+class Thing
+  type :"self.make", "() -> «str_length_type(Nominal.new(String))»"
+  def self.make()
+    1
+  end
+
+  type :"self.go", "() -> Integer", typecheck: :native
+  def self.go()
+    Thing.make()
+  end
+end
+"""
+
+NATIVE_REDEF = """
+def str_length_type(t)
+  Nominal.new(String)
+end
+"""
+
+
+def test_overriding_an_annotated_native_helper_dirties_comp_verdicts():
+    # the native helper has annotations but no body in the registry: a def
+    # that replaces it is still a redefinition, not a brand-new method
+    rdl = CompRDL()
+    rdl.load(NATIVE_APP)
+    assert rdl.check_all("native").ok()
+    rdl.load(NATIVE_REDEF)
+    incremental = rdl.check_all("native")
+
+    fresh = CompRDL()
+    fresh.load(NATIVE_APP)
+    fresh.load(NATIVE_REDEF)
+    full = fresh.check_all("native")
+    assert len(full.errors) == 1
+    assert [str(e) for e in incremental.errors] == \
+        [str(e) for e in full.errors] == \
+        [str(e) for e in rdl.check("native").errors]
+
+
 def test_a_brand_new_method_dirties_only_itself():
     rdl = build_universe()
     assert rdl.check_all("inc").ok()

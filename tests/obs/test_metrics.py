@@ -17,7 +17,7 @@ STATS_KEYS = {
     "methods.reuse_rate", "methods.checked_parallel",
     "schema.events",
     "fleet.shards", "fleet.rounds",
-    "planner.split_bias", "planner.cost_model_size",
+    "planner.cost_model_size",
     "warm.retries", "warm.fallbacks",
 }
 
@@ -33,7 +33,7 @@ def test_snapshot_reflects_counters_and_extra_mapping():
     stats.bump("warm.retries", 2)
     stats.bump("analysis.static_dirtied")
     stats.bump("analysis.static_dirtied")
-    stats.extra["planner.split_bias"] = 1.5
+    stats.extra["warm.fallbacks"] = 3
     snap = stats.snapshot()
     assert snap["comp_cache.hits"] == 3
     assert snap["comp_cache.hit_rate"] == 0.75
@@ -41,7 +41,7 @@ def test_snapshot_reflects_counters_and_extra_mapping():
     # free-form extras are keyed by their stable names and override the
     # always-present defaults...
     assert snap["warm.retries"] == 2
-    assert snap["planner.split_bias"] == 1.5
+    assert snap["warm.fallbacks"] == 3
     # ...and extras beyond the fixed key set are preserved, not dropped
     assert snap["analysis.static_dirtied"] == 2
     assert set(snap) == STATS_KEYS | {"analysis.static_dirtied"}
@@ -133,16 +133,16 @@ def test_metrics_snapshot_reports_provenance_state():
 def test_metrics_diff_subtracts_numeric_keys():
     before = {"comp_cache.hits": 10, "comp_cache.misses": 4,
               "methods.checked": 7, "obs.enabled": False,
-              "planner.split_bias": 1.25}
+              "comp_cache.hit_rate": 0.5}
     after = {"comp_cache.hits": 25, "comp_cache.misses": 4,
              "methods.checked": 9, "obs.enabled": True,
-             "planner.split_bias": 1.5}
+             "comp_cache.hit_rate": 0.75}
     diff = obs.metrics_diff(before, after)
     assert diff["comp_cache.hits"] == 15
     assert diff["methods.checked"] == 2
     # unchanged keys are omitted — a diff reads as "what moved"
     assert "comp_cache.misses" not in diff
-    assert diff["planner.split_bias"] == 0.25
+    assert diff["comp_cache.hit_rate"] == 0.25
     # non-numeric changes report the after value
     assert diff["obs.enabled"] is True
 

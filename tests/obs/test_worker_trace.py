@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.apps import app_for_label
-from repro.parallel import ParallelCheckEngine, check_fleet
+from repro.parallel import ParallelCheckEngine
 from repro.parallel.protocol import CheckRequest, ShardResult
 from repro.parallel.worker import _trace_begin, _trace_end
 from repro.runtime.interp import Interp
@@ -62,7 +62,7 @@ def test_traced_request_ships_only_its_own_window():
 
 
 def test_protocol_messages_default_to_untraced():
-    request = CheckRequest(None, 0)
+    request = CheckRequest("session", 0)
     assert request.trace is False
     assert ShardResult(shard_id=0).spans == ()
 
@@ -72,13 +72,18 @@ def test_protocol_messages_default_to_untraced():
 # ---------------------------------------------------------------------------
 
 def test_fleet_check_collects_spans_from_distinct_worker_pids():
-    from repro.apps import all_apps
-
     obs.enable()
-    # one label plans into a single shard (which runs in-process); the full
-    # app set splits across both workers, so spans arrive from two pids
-    run = check_fleet([app.label for app in all_apps()], workers=2)
-    assert run.report.checked_methods
+    # a transient fleet sizes itself to one worker per app; an adopted,
+    # primed 2-worker engine splits the app across both, so spans arrive
+    # from two pids
+    app = app_for_label(LABEL)
+    with ParallelCheckEngine(workers=2) as engine:
+        engine.prime([app.label])
+        rdl = app.build()
+        rdl.adopt_warm_engine(engine)
+        report = rdl.check_all(app.label, workers=2)
+        rdl.shutdown_warm()
+    assert report.checked_methods
     events = obs.events()
     worker_pids = {e["pid"] for e in events} - {os.getpid()}
     assert len(worker_pids) >= 2, (
@@ -89,7 +94,7 @@ def test_fleet_check_collects_spans_from_distinct_worker_pids():
     # engine-side phases frame them on the same timeline
     names = {e["name"] for e in events}
     assert "fleet.round" in names
-    assert "fleet.merge" in names
+    assert "warm.round" in names
 
 
 @pytest.mark.slow
@@ -110,8 +115,8 @@ def test_worker_counters_reach_the_parent_snapshot():
 
 def test_fleet_check_disabled_emits_zero_events():
     assert not obs.enabled()
-    run = check_fleet([LABEL], workers=2)
-    assert run.report.checked_methods
+    report = app_for_label(LABEL).build().check_all(LABEL, workers=2)
+    assert report.checked_methods
     assert obs.events() == []
     assert obs.buffered() == 0
     assert obs.counters() == {}

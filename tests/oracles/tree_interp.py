@@ -331,9 +331,12 @@ class TreeInterp(Interp):
     def eval_MethodDef(self, node: ast.MethodDef, frame: Frame) -> object:
         owner = frame.defining_class or self.classes["Object"]
         method = RMethod(node.name, params=node.params, body=node.body)
+        table = owner.smethods if node.is_self else owner.imethods
+        replaced = node.name in table
         owner.define(node.name, method, static=node.is_self)
         if self.registry is not None:
-            self.registry.note_method_defined(owner.name, node, node.is_self)
+            self.registry.note_method_defined(owner.name, node, node.is_self,
+                                              replaced)
         return Sym(node.name)
 
     # -- calls -----------------------------------------------------------------

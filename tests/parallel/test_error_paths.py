@@ -117,21 +117,23 @@ def test_all_workers_dead_falls_back_to_serial(monkeypatch):
 
 
 def test_cold_round_reruns_lost_shards_in_process(monkeypatch):
-    # every spawned worker dies on its first CheckRequest: each lost shard
-    # must rerun in-process against the engine's own catalog universes,
-    # and the merged report must still match the serial checks label by
-    # label, in order
-    from repro.parallel import check_fleet
+    # every spawned worker dies on its first CheckRequest: a cold
+    # check_all(workers=2) loses every shard to a dead worker, the
+    # in-process resolve backstop checks them, and each app's report still
+    # matches its serial check, in order
+    from repro.parallel import ParallelCheckEngine
 
     monkeypatch.setenv("REPRO_FAULTS", "worker.CheckRequest=die::0:0")
-    labels = ["huginn", "journey", "twitter"]
-    run = check_fleet(labels, workers=2)
-    methods, errors = [], []
-    for label in labels:
+    for label in ["huginn", "journey", "twitter"]:
+        rdl = app_for_label(label).build()
+        with ParallelCheckEngine(workers=2) as engine:
+            rdl.adopt_warm_engine(engine)
+            report = rdl.check_all(label, workers=2)
+            run = engine.last_warm_run
         serial = app_for_label(label).build().check(label)
-        methods.extend(serial.checked_methods)
-        errors.extend(str(e) for e in serial.errors)
-    assert list(run.report.checked_methods) == methods
-    assert [str(e) for e in run.report.errors] == errors
-    assert len(run.results) >= 2  # a real fan-out, not the in-process path
-    assert all(result.pid == os.getpid() for result in run.results)
+        assert list(report.checked_methods) == list(serial.checked_methods)
+        assert [str(e) for e in report.errors] == \
+            [str(e) for e in serial.errors]
+        # a real dispatch to session workers, none of which answered
+        assert run.remote and run.methods == len(serial.checked_methods)
+        assert run.results == []

@@ -60,6 +60,8 @@ def test_migrate_recheck_parity_with_serial_incremental(backend):
         run = warm.warm_engine.last_warm_run
         assert run.remote and run.methods > 0
         assert run.results  # verdicts actually came from session workers
+        session = run.session_id
+        pids = [h.pid for h in warm.warm_engine._attached_workers()]
 
         # round 2: the session stays attached — only the journal delta
         # crosses the process boundary, no rebuilds
@@ -71,7 +73,9 @@ def test_migrate_recheck_parity_with_serial_incremental(backend):
         assert warm_report.ok()
         run = warm.warm_engine.last_warm_run
         assert run.remote
-        assert all(not r.build_s for r in run.results)  # warm: no rebuilds
+        # the same session on the same processes: no respawn, no re-attach
+        assert run.session_id == session
+        assert [h.pid for h in warm.warm_engine._attached_workers()] == pids
     finally:
         warm.shutdown_warm()
 
