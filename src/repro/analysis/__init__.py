@@ -1,6 +1,6 @@
 """``repro.analysis`` — static analysis over comp-typed mini-Ruby code.
 
-Three cooperating passes, none of which execute any type-level code:
+Two passes, neither of which executes any type-level code:
 
 * **footprint inference** (:mod:`repro.analysis.footprint`) — an abstract
   interpreter over the mini-Ruby AST that over-approximates each method's
@@ -17,12 +17,10 @@ Three cooperating passes, none of which execute any type-level code:
   code, calls to possibly-divergent or impure methods, iterators with
   mutating blocks, and helper-recursion cycles the dynamic checker
   assumes away.
-* **consumers** — the incremental scheduler pre-seeds dirty-set
-  resolution from static footprints (methods whose verdicts carry no
-  dynamic deps are re-dirtied exactly when their static footprint is
-  affected), the shard planner prices methods by analysis-derived static
-  cost before any wall time is observed, and warm sessions skip delta
-  syncs whose changed tables no pending method's footprint names.
+
+The analysis reports; it does not schedule.  Checking, re-dirtying and
+shard planning run on the dependencies the dynamic tracker records, and
+the fuzzer asserts ``static ⊇ dynamic`` against them.
 
 Surfaces: ``python -m repro.analysis`` (the repo-wide diagnostics CLI),
 ``CompRDL.analyze()``, and ``analysis.*`` keys in ``metrics_snapshot()``.

@@ -92,10 +92,10 @@ class StaticFootprint:
     natives: frozenset = frozenset()
     wildcard: bool = False
 
-    def covers(self, deps: MethodDeps | None) -> bool:
+    def covers(self, deps: MethodDeps) -> bool:
         """The soundness contract: does this footprint contain every
         dependency the dynamic tracker recorded?"""
-        if deps is None or self.wildcard:
+        if self.wildcard:
             return True
         if WILDCARD in deps.tables:
             return False
@@ -108,28 +108,6 @@ class StaticFootprint:
         if self.wildcard or WILDCARD in changed:
             return True
         return bool(self.tables & changed)
-
-    def to_method_deps(self) -> MethodDeps:
-        """The footprint in the dynamic tracker's vocabulary (wildcard
-        becomes the tracker's ``*`` table)."""
-        tables = set(self.tables)
-        if self.wildcard:
-            tables.add(WILDCARD)
-        return MethodDeps(frozenset(tables), frozenset(self.columns),
-                          frozenset(self.comps))
-
-    def cost_weight(self) -> float:
-        """A unitless relative check-cost estimate for the shard planner.
-
-        Each distinct comp evaluated adds engine work; each table read adds
-        schema traffic; a wildcard footprint hits the ``all_schemas`` path
-        (the most expensive read).  Tuned against observed per-method wall
-        times (``IncrementalStats.method_costs``).
-        """
-        weight = 1.0 + 1.5 * len(self.comps) + 0.25 * len(self.tables)
-        if self.wildcard:
-            weight += 4.0
-        return weight
 
     def summary(self) -> dict:
         return {
@@ -224,7 +202,8 @@ class FootprintAnalyzer:
         for key, annotations in self.registry.method_annotations.items():
             codes: set = set()
             for annotation in annotations:
-                codes.update(comp_codes_of(annotation.signature))
+                codes.update(comp.code
+                             for comp in annotation.signature.comp_exprs())
             if not codes:
                 continue
             entry = index.setdefault(key.method_name, set())
@@ -295,7 +274,8 @@ class FootprintAnalyzer:
         own = self.registry.lookup_method(
             key.class_name, key.method_name, key.static, self.interp) or []
         for annotation in own:
-            comps.update(comp_codes_of(annotation.signature))
+            comps.update(comp.code
+                         for comp in annotation.signature.comp_exprs())
             for value in signature_singletons(annotation.signature):
                 try:
                     tables.add(_table_name_for(value))
@@ -421,27 +401,6 @@ def _call_names(node) -> set:
 # ---------------------------------------------------------------------------
 # signatures
 # ---------------------------------------------------------------------------
-
-def comp_codes_of(signature: MethodType) -> set:
-    """Every comp expression's code inside one signature (args, return,
-    block — the positions the engine can evaluate while checking calls)."""
-    codes: set = set()
-
-    def visit(part) -> None:
-        if isinstance(part, CompExpr):
-            codes.add(part.code)
-        elif isinstance(part, BoundArg):
-            visit(part.bound)
-        elif isinstance(part, (OptionalArg, VarargArg)):
-            visit(part.inner)
-
-    for arg in signature.args:
-        visit(arg)
-    visit(signature.ret)
-    if signature.block is not None:
-        codes |= comp_codes_of(signature.block)
-    return codes
-
 
 def signature_singletons(signature: MethodType) -> list:
     """Singleton values (class refs / symbols) in a signature's argument

@@ -11,7 +11,6 @@ COMP000 for comp code that does not parse.
 
 from __future__ import annotations
 
-from repro.analysis.footprint import comp_codes_of
 from repro.comp.termination import Diagnostic, TerminationChecker
 from repro.lang.parser import parse_program
 
@@ -31,7 +30,9 @@ class EffectLinter:
         for key in sorted(self.registry.method_annotations,
                           key=lambda k: (k.class_name, k.method_name, k.static)):
             for annotation in self.registry.method_annotations[key]:
-                for code in sorted(comp_codes_of(annotation.signature)):
+                signature = annotation.signature
+                for code in sorted({comp.code
+                                    for comp in signature.comp_exprs()}):
                     if code in seen_codes:
                         continue
                     seen_codes.add(code)

@@ -2,8 +2,9 @@
 
 :func:`analyze_universe` runs both static passes over every labelled
 method of a :class:`~repro.api.CompRDL` universe (or an explicit key
-list) and packages the result for the CLI, ``CompRDL.analyze()``, CI
-baselines, and the consumer layers.
+list) and packages the result for its readers: the CLI,
+``CompRDL.analyze()``, the CI baseline and the fuzzer's static ⊇ dynamic
+invariant.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class AnalysisReport:
             "warnings": by_severity["warning"],
             "infos": by_severity["info"],
         }
-
-    def static_costs(self) -> dict:
-        """``str(key) -> cost weight`` for the shard planner: methods with
-        bigger footprints (more tables/comps, or wildcard) check slower."""
-        return {str(key): fp.cost_weight()
-                for key, fp in self.footprints.items()}
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.rtypes import parse_method_type
-from repro.rtypes.methods import BoundArg, CompExpr, MethodType, OptionalArg, VarargArg
+from repro.rtypes.methods import MethodType
 
 
 def install_table(rdl, class_name: str, table: dict[str, object],
@@ -28,20 +28,6 @@ def install_table(rdl, class_name: str, table: dict[str, object],
 
 def _comp_loc(signature: MethodType) -> int:
     """Lines of type-level code inside one signature."""
-    total = 0
-    for part in list(signature.args) + [signature.ret] + (
-            list(signature.block.args) + [signature.block.ret] if signature.block else []):
-        comp = None
-        if isinstance(part, CompExpr):
-            comp = part
-        elif isinstance(part, BoundArg) and isinstance(part.bound, CompExpr):
-            comp = part.bound
-        elif isinstance(part, (OptionalArg, VarargArg)):
-            inner = part.inner
-            if isinstance(inner, CompExpr):
-                comp = inner
-            elif isinstance(inner, BoundArg) and isinstance(inner.bound, CompExpr):
-                comp = inner.bound
-        if comp is not None:
-            total += max(1, len([l for l in comp.code.splitlines() if l.strip()]))
-    return total
+    return sum(max(1, len([line for line in comp.code.splitlines()
+                           if line.strip()]))
+               for comp in signature.comp_exprs())

@@ -291,18 +291,15 @@ class CompRDL:
         every labelled method of this universe, without executing any
         type-level code.
 
-        Returns an :class:`~repro.analysis.report.AnalysisReport` and, as
-        a side effect, seeds the incremental scheduler with the inferred
-        footprints (static ⊇ dynamic): verdicts that carry no dynamic deps
-        become precisely re-dirtiable, the shard planner gets per-method
-        static costs, and warm sessions can prove a journal delta
-        irrelevant before shipping a sync.  Re-running after schema or
-        annotation changes recomputes automatically.
+        Returns an :class:`~repro.analysis.report.AnalysisReport` (each
+        footprint a superset of the deps checking records) and records its
+        diagnostic and wildcard counts as ``analysis.*`` keys in
+        :meth:`metrics_snapshot`.  The report changes nothing the checker,
+        the scheduler or the fleet does.
         """
         from repro.analysis import analyze_universe
 
         report = analyze_universe(self, label=label)
-        self.incremental.adopt_static_footprints(report.footprints)
         extra = self.incremental_stats.extra
         counts = report.counts()
         extra["analysis.diagnostics"] = counts["diagnostics"]

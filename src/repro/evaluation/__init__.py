@@ -1,6 +1,1 @@
 """The evaluation harness: regenerates the paper's Table 1 and Table 2."""
-
-from repro.evaluation.table1 import table1_rows, render_table1
-from repro.evaluation.table2 import table2_rows, render_table2
-
-__all__ = ["render_table1", "render_table2", "table1_rows", "table2_rows"]

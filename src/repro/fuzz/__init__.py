@@ -11,9 +11,9 @@ universes* of one subject app, asserting at every checkpoint:
    journal stream, and verdicts;
 2. **incremental ≡ full** — ``recheck_dirty()`` equals a full re-check;
 3. **warm ≡ serial** — warm-session replay equals the serial path;
-4. **static ⊇ dynamic** — every inferred static footprint covers the
-   dynamic dependencies the checker recorded (the ``repro.analysis``
-   contract).
+4. **static ⊇ dynamic** — every cached verdict carries the dynamic
+   dependencies the checker recorded, and its inferred static footprint
+   covers them (the ``repro.analysis`` contract).
 
 The ``faults`` profile additionally arms :mod:`repro.obs.faults` (worker
 kill, wedged session pipe, injected sqlite ``OperationalError``) and

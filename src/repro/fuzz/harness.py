@@ -271,7 +271,8 @@ class _Storm:
                            f"warm {warm_key!r}\n  != serial {serial_key!r}"
                            f"\n  warm run: {run!r}")
 
-        # invariant 4: static footprints cover dynamic deps
+        # invariant 4: static footprints cover dynamic deps, which every
+        # cached verdict carries
         from repro.analysis.footprint import FootprintAnalyzer
 
         analyzer = FootprintAnalyzer(self.mem.registry, self.mem.db,
@@ -279,7 +280,8 @@ class _Storm:
         for key in self.mem.incremental.results:
             deps = self.mem.incremental.tracker.deps_of(key)
             if deps is None:
-                continue
+                self._fail("static-footprint", step_index,
+                           f"{key}: cached verdict carries no dynamic deps")
             footprint = analyzer.footprint_of(key)
             if not footprint.covers(deps):
                 self._fail(

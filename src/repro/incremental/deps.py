@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.incremental.versioning import WILDCARD, affects
+from repro.incremental.versioning import affects
 
 
 @dataclass
@@ -33,9 +33,6 @@ class MethodDeps:
     tables: frozenset[str] = frozenset()
     columns: frozenset[tuple[str, str]] = frozenset()
     comps: frozenset[str] = frozenset()
-
-    def depends_on_table(self, table: str) -> bool:
-        return table in self.tables or WILDCARD in self.tables
 
     def summary(self) -> dict:
         """The footprint as sorted, JSON-ready lists — the stable form the
@@ -128,21 +125,9 @@ class DependencyTracker:
         tracked it in its own universe and shipped it back with the verdict."""
         self.method_deps[key] = deps
 
-    def dependents_of_table(self, table: str) -> set:
-        return {
-            key for key, deps in self.method_deps.items()
-            if deps.depends_on_table(table)
-        }
-
     def methods_affected_by(self, changed: set[str]) -> set:
         """Method keys whose table footprint intersects ``changed``."""
         return {
             key for key, deps in self.method_deps.items()
             if affects(deps.tables, changed)
         }
-
-    def forget(self, key) -> None:
-        self.method_deps.pop(key, None)
-
-    def clear(self) -> None:
-        self.method_deps.clear()

@@ -45,10 +45,6 @@ class IncrementalScheduler:
         self.results: dict[object, MethodResult] = {}
         self.dirty: set[object] = set()
         self.labels: list[str] = []
-        # analysis-derived static footprints (static ⊇ dynamic — see
-        # repro.analysis.footprint), consulted for verdicts that carry no
-        # dynamic deps; seeded by CompRDL.analyze() / adopt_static_footprints
-        self.static_footprints: dict[object, object] = {}
         # every production path writes this universe's verdict provenance
         # here — _check for fresh verdicts, feed_incremental for fleet/warm
         # adoptions; empty (and never touched) while provenance is disabled
@@ -67,51 +63,27 @@ class IncrementalScheduler:
         # the new name); dependents of either must be dirtied
         if event.detail and event.kind in TWO_TABLE_KINDS:
             changed.add(event.detail)
+        # every cached verdict carries dynamic deps: _check records them
+        # through check_one, feed_incremental adopts the worker's
         affected = self.tracker.methods_affected_by(changed) & set(self.results)
-        # cached verdicts with no recorded dynamic deps (a worker adoption
-        # that carried none) are invisible to methods_affected_by.  Their
-        # static footprint — a proven superset of any dynamic footprint —
-        # decides instead; with neither recorded the only sound answer is
-        # "affected".
-        for key in self.results:
-            if key in affected or self.tracker.deps_of(key) is not None:
-                continue
-            footprint = self.static_footprints.get(key)
-            if footprint is None:
-                affected.add(key)
-                self.stats.bump("analysis.conservative_dirtied")
-            elif footprint.affected_by(changed):
-                affected.add(key)
-                self.stats.bump("analysis.static_dirtied")
         fresh = affected - self.dirty
         self.dirty |= affected
         self.stats.methods_dirtied += len(fresh)
         self.stats.schema_events += 1
 
-    def adopt_static_footprints(self, footprints: dict) -> None:
-        """Seed analysis-derived footprints (``repro.analysis``): methods
-        whose cached verdicts lack dynamic deps are re-dirtied exactly when
-        their static footprint is affected by a schema change, instead of
-        never (unsound) or always (wasteful)."""
-        self.static_footprints.update(footprints)
-        self.stats.extra["analysis.footprints_seeded"] = \
-            len(self.static_footprints)
-
     def on_method_change(self, key, redefined) -> None:
         """A ``load`` defined a method or added an annotation: its cached
         verdict (if any) is stale regardless of the schema generation.  A
         *re*definition or re-annotation may change what a type-level helper
-        computes, so every cached verdict that evaluated a comp (or recorded
-        no dependencies) is stale too; a brand-new key dirties only itself."""
+        computes, so every cached verdict that evaluated a comp is stale
+        too; a brand-new key dirties only itself."""
         if key in self.results:
             self.dirty.add(key)
             self.stats.methods_dirtied += 1
         if redefined:
-            stale = set()
-            for other in self.results:
-                deps = self.tracker.deps_of(other)
-                if other not in self.dirty and (deps is None or deps.comps):
-                    stale.add(other)
+            stale = {other for other in self.results
+                     if other not in self.dirty
+                     and self.tracker.deps_of(other).comps}
             self.dirty |= stale
             self.stats.methods_dirtied += len(stale)
 
@@ -221,16 +193,10 @@ class IncrementalScheduler:
     # ------------------------------------------------------------------
     # introspection (benchmarks / diagnostics)
     # ------------------------------------------------------------------
-    def dependents_of_table(self, table: str) -> set:
-        return self.tracker.dependents_of_table(table) & set(self.results)
-
     def table_fanout(self) -> dict[str, int]:
         """How many checked methods depend on each table (wildcard included)."""
         fanout: dict[str, int] = {}
         for key in self.results:
-            deps = self.tracker.deps_of(key)
-            if deps is None:
-                continue
-            for table in deps.tables:
+            for table in self.tracker.deps_of(key).tables:
                 fanout[table] = fanout.get(table, 0) + 1
         return fanout

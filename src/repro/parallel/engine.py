@@ -82,17 +82,6 @@ def _normalize_labels(labels) -> list[str]:
     return [label.lstrip(":") for label in labels]
 
 
-def _static_costs_of(scheduler) -> dict | None:
-    """Analysis-derived planner cost weights (desc -> weight) from the
-    scheduler's seeded static footprints; None until ``CompRDL.analyze()``
-    (or an explicit seed) has run."""
-    footprints = getattr(scheduler, "static_footprints", None)
-    if not footprints:
-        return None
-    return {str(key): footprint.cost_weight()
-            for key, footprint in footprints.items()}
-
-
 class ParallelCheckEngine:
     """A persistent pool of session workers checking live universes."""
 
@@ -272,7 +261,6 @@ class ParallelCheckEngine:
                 self.workers,
                 registry=rdl.registry,
                 stats=scheduler.stats,
-                static_costs=_static_costs_of(scheduler),
             )
             self._session_pool = SessionPool(
                 max(1, len(cold_plan)), deadline_s=self.deadline_s)
@@ -302,13 +290,6 @@ class ParallelCheckEngine:
         try:
             if rdl is not self._attached_rdl or labels != self._attached_labels:
                 self.attach(rdl, labels)
-            elif self._delta_irrelevant(rdl, pending):
-                # every pending method's static footprint is disjoint from
-                # the un-synced journal delta: checking on the stale
-                # replicas yields identical verdicts, so the sync can wait
-                scheduler.stats.bump("analysis.syncs_skipped")
-                obs_spans.event("warm.sync_skipped",
-                                args={"pending": len(pending)})
             else:
                 self._sync_session(rdl)
         except (WarmSyncError, WorkerLost, SessionRequestFailed) as exc:
@@ -337,7 +318,6 @@ class ParallelCheckEngine:
             stats=scheduler.stats,
             # replicas are already alive: splitting costs nothing
             build_cost=0.0,
-            static_costs=_static_costs_of(scheduler),
         )
         plan_s = time.perf_counter() - plan_start
 
@@ -435,36 +415,6 @@ class ParallelCheckEngine:
     def _attached_workers(self):
         return [handle for handle in self._session_pool.live()
                 if handle.attached] if self._session_pool else []
-
-    def _delta_irrelevant(self, rdl, pending) -> bool:
-        """Can this round ship CheckRequests without a delta sync?
-
-        True only when every attached worker is load-converged and every
-        pending method has a static footprint (``repro.analysis``, a
-        proven superset of its dynamic deps) disjoint from the tables the
-        un-synced journal delta touches — then checking on the stale
-        replicas is verdict-identical and the sync can be deferred.
-        """
-        workers = self._attached_workers()
-        if not workers:
-            return False
-        footprints = rdl.incremental.static_footprints
-        if not footprints:
-            return False
-        loads = rdl.post_build_loads
-        if any(handle.loads_applied < len(loads) for handle in workers):
-            return False
-        journal = rdl.db.journal
-        oldest = min(handle.synced_generation for handle in workers)
-        if oldest < journal.oldest_retained or oldest >= rdl.db.version:
-            # forgotten delta must cold-sync; an empty delta syncs for free
-            return False
-        changed = journal.tables_changed_since(oldest)
-        for key in pending:
-            footprint = footprints.get(key)
-            if footprint is None or footprint.affected_by(changed):
-                return False
-        return True
 
     def _fallback_serial(self, scheduler, reason: str,
                          serial) -> TypeErrorReport:

@@ -84,8 +84,7 @@ def feed_incremental(scheduler, results: list[ShardResult],
                 oracle_casts=verdict.oracle_casts,
                 generation=generation,
             )
-            if verdict.deps is not None:
-                tracker.adopt(key, verdict.deps)
+            tracker.adopt(key, verdict.deps)
             scheduler.dirty.discard(key)
             if prov_on:
                 who = dict(producer)

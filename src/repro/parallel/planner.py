@@ -4,10 +4,9 @@ shards.
 The cost model mirrors how work is actually spent: a method's **check
 cost** is its last *observed* wall time when the incremental stats have one
 (``IncrementalStats.method_costs``, recorded by every
-``TypeChecker.check_one``), then the static-analysis cost weight, falling
-back to a comp-count heuristic — call sites are where comp types evaluate
-(rule C-App-Comp), so a body's ``MethodCall`` node count is the best static
-proxy for its checking cost.
+``TypeChecker.check_one``), falling back to a comp-count heuristic — call
+sites are where comp types evaluate (rule C-App-Comp), so a body's
+``MethodCall`` node count is the best static proxy for its checking cost.
 
 A shard only pays off when it saves more checking than its worker spends
 getting a replica: ``build_cost`` is that price.  Session rounds over live
@@ -57,24 +56,13 @@ def comp_site_count(node) -> int:
     return count
 
 
-def method_cost(spec: MethodSpec, registry=None, stats=None,
-                static_costs: dict | None = None) -> float:
-    """Predicted checking cost (seconds) for one method.
-
-    Sources, best first: the observed wall-time EWMA, the static-analysis
-    cost weight (``repro.analysis`` — comps/tables the method's footprint
-    actually reaches), then the raw comp-site count heuristic.
-    """
+def method_cost(spec: MethodSpec, registry=None, stats=None) -> float:
+    """Predicted checking cost (seconds) for one method: the observed
+    wall-time EWMA, else the comp-site count heuristic."""
     if stats is not None:
         observed = stats.method_costs.get(spec.desc)
         if observed is not None:
             return max(observed, 1e-6)
-    if static_costs is not None:
-        weight = static_costs.get(spec.desc)
-        if weight is not None:
-            if stats is not None:
-                stats.bump("analysis.static_costs")
-            return BASE_METHOD_COST * weight
     sites = 0
     if registry is not None:
         node = registry.defined_methods.get(spec.key())
@@ -98,19 +86,15 @@ def plan_shards(
     registry=None,
     stats=None,
     build_cost: float = DEFAULT_BUILD_COST,
-    static_costs: dict | None = None,
 ) -> list[Shard]:
     """Partition ``specs`` into at most ``workers`` balanced shards.
 
-    ``registry`` holds the method bodies (for the comp-count heuristic);
-    ``static_costs`` maps method descs to analysis-derived cost weights
-    (``AnalysisReport.static_costs()``), consulted when no wall time has
-    been observed yet.  While there are spare workers, the costliest group
-    of methods is halved (LPT), but only when half its checking outweighs
+    ``registry`` holds the method bodies (for the comp-count heuristic).
+    While there are spare workers, the costliest group of methods is
+    halved (LPT), but only when half its checking outweighs
     ``build_cost``.  Each group becomes one shard, costliest first.
     """
-    groups = [[(spec, method_cost(spec, registry, stats, static_costs))
-               for spec in specs]]
+    groups = [[(spec, method_cost(spec, registry, stats)) for spec in specs]]
     while len(groups) < max(1, workers):
         candidates = [group for group in groups
                       if len(group) > 1 and _cost(group) / 2 > build_cost]

@@ -71,10 +71,11 @@ class MethodVerdict:
 
     spec: MethodSpec
     desc: str
+    #: what the check read, recorded by the worker's ``check_one``
+    deps: MethodDeps
     errors: list[tuple[str, str, int, str]] = field(default_factory=list)
     casts_used: int = 0
     oracle_casts: int = 0
-    deps: MethodDeps | None = None
     cost_s: float = 0.0
     #: worker-side provenance piggyback: ``(comp_hits, comp_misses)``
     #: attributed to this check, or None when provenance was off for the

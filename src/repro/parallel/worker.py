@@ -308,10 +308,10 @@ def check_specs_into(result: ShardResult, resolve, specs) -> None:
         result.verdicts.append(MethodVerdict(
             spec=spec,
             desc=desc,
+            deps=rdl.checker.engine.deps.deps_of(spec.key()),
             errors=[encode_error(e) for e in errors],
             casts_used=casts,
             oracle_casts=oracle,
-            deps=rdl.checker.engine.deps.deps_of(spec.key()),
             cost_s=cost,
             prov=((cap.comp_hits, cap.comp_misses) if prov_on else None),
         ))

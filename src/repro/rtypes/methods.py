@@ -147,6 +147,19 @@ class MethodType(RType):
             return True
         return self.ret.is_comp() or any(a.is_comp() for a in self.args)
 
+    def comp_exprs(self):
+        """Every comp expression in the signature, in order: the argument
+        positions (through bounds, ``?`` and ``*``), the return type, then
+        the block signature's — the positions the engine evaluates while
+        checking calls."""
+        for part in [*self.args, self.ret]:
+            while isinstance(part, (BoundArg, OptionalArg, VarargArg)):
+                part = part.bound if isinstance(part, BoundArg) else part.inner
+            if isinstance(part, CompExpr):
+                yield part
+        if self.block is not None:
+            yield from self.block.comp_exprs()
+
     def arity(self) -> tuple[int, int | None]:
         """Minimum and maximum accepted argument counts (None = unbounded)."""
         minimum = 0

@@ -51,7 +51,6 @@ class TestStaticFootprint:
         assert fp.covers(MethodDeps(frozenset({"users"}), frozenset(),
                                     frozenset({"c1"})))
         assert not fp.covers(MethodDeps(frozenset({"topics"})))
-        assert fp.covers(None)
 
     def test_wildcard_covers_anything(self):
         fp = StaticFootprint(wildcard=True)
@@ -71,19 +70,6 @@ class TestStaticFootprint:
         assert not fp.affected_by({"topics"})
         assert fp.affected_by({WILDCARD})
         assert StaticFootprint(wildcard=True).affected_by({"whatever"})
-
-    def test_to_method_deps_wildcard(self):
-        deps = StaticFootprint(tables=frozenset({"users"}),
-                               wildcard=True).to_method_deps()
-        assert WILDCARD in deps.tables and "users" in deps.tables
-
-    def test_cost_weight_orders_by_size(self):
-        small = StaticFootprint()
-        big = StaticFootprint(comps=frozenset({"a", "b", "c"}),
-                              tables=frozenset({"users"}))
-        assert big.cost_weight() > small.cost_weight()
-        assert StaticFootprint(wildcard=True).cost_weight() \
-            > small.cost_weight()
 
 
 @pytest.fixture

@@ -128,7 +128,7 @@ def test_dependency_tracker_scopes_propagate():
     deps = tracker.deps_of("m1")
     assert deps.tables == {"users", "posts"}
     assert ("posts", "title") in deps.columns
-    assert tracker.dependents_of_table("posts") == {"m1"}
+    assert tracker.methods_affected_by({"posts"}) == {"m1"}
 
 
 def test_checker_records_table_deps_per_method():
@@ -151,6 +151,52 @@ def test_checker_records_table_deps_per_method():
 # ---------------------------------------------------------------------------
 # scheduler: dirty marking + incremental re-check
 # ---------------------------------------------------------------------------
+
+def _assert_every_verdict_has_deps(rdl):
+    tracker = rdl.incremental.tracker
+    missing = [str(key) for key in rdl.incremental.results
+               if tracker.deps_of(key) is None]
+    assert rdl.incremental.results and not missing, missing
+
+
+def test_every_cached_verdict_carries_dynamic_deps():
+    """The scheduler dirties cached verdicts through their recorded deps
+    alone, so every path that caches a verdict must record them: a serial
+    check_all, a fleet check_all, and a migrate -> fleet recheck_dirty."""
+    app = APPS["Discourse"]
+    serial = app.build()
+    serial.check_all(app.label)
+    _assert_every_verdict_has_deps(serial)
+
+    rdl = app.build()
+    try:
+        rdl.check_all(app.label, workers=2)
+        assert rdl.incremental_stats.methods_checked_parallel > 0
+        _assert_every_verdict_has_deps(rdl)
+
+        rdl.db.add_column("users", "deps_probe", "string")
+        assert rdl.incremental.dirty
+        rdl.recheck_dirty(workers=2)
+        run = rdl.warm_engine.last_warm_run
+        assert run.remote and run.methods > 0
+        _assert_every_verdict_has_deps(rdl)
+    finally:
+        rdl.shutdown_warm()
+
+
+def test_unrelated_migration_dirties_exactly_the_wildcard_verdicts():
+    """A table no check read reaches only the verdicts whose dynamic deps
+    hold the wildcard (an ``all_schemas`` read)."""
+    app = APPS["Discourse"]
+    rdl = app.build()
+    rdl.check_all(app.label)
+    tracker = rdl.incremental.tracker
+    wildcard = {key for key in rdl.incremental.results
+                if WILDCARD in tracker.deps_of(key).tables}
+    assert wildcard
+    rdl.db.create_table("unrelated_things", note="string")
+    assert rdl.incremental.dirty == wildcard
+
 
 def test_add_column_dirties_only_dependent_methods():
     rdl = build_universe()

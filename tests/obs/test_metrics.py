@@ -31,8 +31,7 @@ def test_snapshot_reflects_counters_and_extra_mapping():
     stats = IncrementalStats(comp_hits=3, comp_misses=1, methods_checked=4,
                              methods_skipped=12)
     stats.bump("warm.retries", 2)
-    stats.bump("analysis.static_dirtied")
-    stats.bump("analysis.static_dirtied")
+    stats.extra["analysis.diagnostics"] = 2
     stats.extra["warm.fallbacks"] = 3
     snap = stats.snapshot()
     assert snap["comp_cache.hits"] == 3
@@ -43,8 +42,8 @@ def test_snapshot_reflects_counters_and_extra_mapping():
     assert snap["warm.retries"] == 2
     assert snap["warm.fallbacks"] == 3
     # ...and extras beyond the fixed key set are preserved, not dropped
-    assert snap["analysis.static_dirtied"] == 2
-    assert set(snap) == STATS_KEYS | {"analysis.static_dirtied"}
+    assert snap["analysis.diagnostics"] == 2
+    assert set(snap) == STATS_KEYS | {"analysis.diagnostics"}
 
 
 def test_metrics_snapshot_unifies_every_layer():

@@ -267,7 +267,7 @@ def test_compiled_membership_beats_the_structural_walker():
 
 
 def test_warm_analysis_is_cheap_next_to_checking():
-    """The cached-footprint pass the scheduler consults on every migration
+    """Re-running footprint inference on an analyzer whose caches are warm
     costs at least 10x less than checking the app, per app."""
     for app in APPS:
         rdl = app.build()
