@@ -103,12 +103,6 @@ class StaticFootprint:
                 and set(deps.columns) <= set(self.columns)
                 and set(deps.comps) <= set(self.comps))
 
-    def affected_by(self, changed: set) -> bool:
-        """Could a change to ``changed`` tables alter this method's verdict?"""
-        if self.wildcard or WILDCARD in changed:
-            return True
-        return bool(self.tables & changed)
-
     def summary(self) -> dict:
         return {
             "tables": sorted(self.tables),

@@ -3,12 +3,23 @@
 Produces a flat token stream with explicit ``newline`` tokens (statement
 terminators).  Double-quoted strings are lexed into interpolation *parts*:
 a list alternating literal text and raw code fragments (``#{...}``), which
-the parser recursively parses.
+the parser recursively parses at the fragment's own line and column.
+
+Scanning is one compiled master pattern, :data:`_TOKEN`, with a named
+group per token class; :meth:`Lexer.tokenize` matches it at the current
+position (blanks before a token are part of the match) and dispatches on
+the group that matched (``m.lastgroup``).  Operators match longest first,
+a ``:`` starts a symbol only before a symbol character (so ``A::B``,
+``c ? a : b`` and ``:sym`` stay apart), and a method name takes a
+``?``/``!`` suffix only when no ``.``, ``=`` or ``~`` follows (``foo?``,
+but ``a!=b`` and ``x!.y``).  Only interpolated strings, quoted symbols,
+line continuations and errors leave the pattern, for :meth:`Lexer._lex_slow`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.lang.errors import LexError
 
@@ -20,18 +31,46 @@ KEYWORDS = {
     "super", "lambda", "proc",
 }
 
-# Longest first so that e.g. "<=>" wins over "<=".
-OPERATORS = [
-    "<=>", "===", "**=", "<<=", ">>=", "...", "&&=", "||=",
-    "==", "!=", "<=", ">=", "**", "<<", ">>", "&&", "||", "+=", "-=",
-    "*=", "/=", "%=", "=>", "=~", "::", "..", "->",
-    "+", "-", "*", "/", "%", "=", "<", ">", "!", ".", ",", "(", ")",
-    "[", "]", "{", "}", "|", "&", "?", ":", ";", "@",
-]
+# Alternatives are tried in order; the word, number and symbol groups use
+# ``\w``/``\d``, which are Unicode-aware like ``str.isalnum``/``isdigit``.
+# A double-quoted string matches here only without interpolation; the
+# ``slow`` group takes one character of everything else: the start of an
+# interpolated or unterminated string, a quoted symbol's ``:``, a
+# ``\``-newline continuation, and whatever cannot start a token.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<word>[^\W\d]\w*(?:[?!](?![.=~]))?)
+  | (?P<op><=>|===|\*\*=|<<=|>>=|\.\.\.|&&=|\|\|=|==|!=|<=|>=|\*\*|<<|>>
+          |&&|\|\||[-+*/%]=|=>|=~|::|\.\.|->|[-+*/%=<>!.,()\[\]{}|&?;]
+          |:(?![^\W\d]|[@$=\["+\-*/%<>!]))
+  | (?P<newline>\n)
+  | (?P<symbol>:(?:<=>|==|!=|\[\]=|\[\]|<=|>=|<<|\*\*|-@|[-+*/%<>!]
+                 |(?=[^\W\d]|[@$=\[])[@$]*\w*(?:[?!]|=(?![>=]))?))
+  | (?P<string>'[^'\\]*(?:\\[\s\S][^'\\]*)*'
+              |"[^"\\\#]*(?:(?:\\[\s\S]|\#(?!\{))[^"\\\#]*)*")
+  | (?P<number>\d[\d_]*(?:\.\d+)?)
+  | (?P<ivar>@@?\w*)
+  | (?P<gvar>\$\w*)
+  | (?P<comment>\#[^\n]*)
+  | (?P<slow>[^ \t\r])
+)""", re.VERBOSE)
+
+#: literal text of a double-quoted string, up to a quote or ``#{``
+_DSTRING_TEXT = re.compile(r'[^"\\#]*(?:(?:\\[\s\S]|#(?!\{))[^"\\#]*)*')
+_DSTRING_ESCAPE = re.compile(r"\\([\s\S])")
+_SSTRING_ESCAPE = re.compile(r"\\(['\\])")
+#: ``::Name`` segments that extend a constant (``ActiveRecord::Base``)
+_CONST_TAIL = re.compile(r"(?:::[^\W\d_]\w*)+")
+_BRACE = re.compile(r"[{}]")
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "s": " ",
+            "\\": "\\", "'": "'", '"': '"', "#": "#"}
 
 
-@dataclass(frozen=True)
-class Token:
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[0])
+
+
+class Token(NamedTuple):
     """A lexical token: ``kind`` discriminates, ``value`` carries payload.
 
     ``col`` is the 1-based column of the token's first character (0 for
@@ -48,17 +87,21 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, L{self.line}:{self.col})"
 
 
+class Fragment(str):
+    """The code of one ``#{...}`` interpolation, with the ``line`` and
+    ``col`` of its first character; a :class:`Lexer` over it starts there."""
+
+
 class Lexer:
     """Tokenize mini-Ruby source text."""
 
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
-        self.line = 1
+        # a Fragment starts where its ``#{`` code sits in the outer source
+        self.line = getattr(source, "line", 1)
         # offset of the current line's first character, for columns
-        self.line_start = 0
-        # column where the token being lexed started (set per dispatch)
-        self._tok_col = 1
+        self.line_start = 1 - getattr(source, "col", 1)
         self.tokens: list[Token] = []
 
     def error(self, message: str) -> LexError:
@@ -66,237 +109,145 @@ class Lexer:
 
     def tokenize(self) -> list[Token]:
         """Lex the whole source, returning the token list (ends with eof)."""
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            self._tok_col = self.pos - self.line_start + 1
-            if ch == "\n":
-                self._emit_newline()
-                self.pos += 1
-                self.line += 1
-                self.line_start = self.pos
-            elif ch in " \t\r":
-                self.pos += 1
-            elif ch == "\\" and self._peek(1) == "\n":
-                # explicit line continuation
-                self.pos += 2
-                self.line += 1
-                self.line_start = self.pos
-            elif ch == "#":
-                self._skip_comment()
-            elif ch.isdigit():
-                self._lex_number()
-            elif ch == '"':
-                self._lex_dstring()
-            elif ch == "'":
-                self._lex_sstring()
-            elif ch == ":" and self._is_symbol_start(self._peek(1)):
-                self._lex_symbol()
-            elif ch == "@":
-                self._lex_ivar()
-            elif ch == "$":
-                self._lex_gvar()
-            elif ch.isalpha() or ch == "_":
-                self._lex_word()
-            else:
-                self._lex_operator()
-        self._emit_newline()
-        self.tokens.append(Token("eof", None, self.line))
-        return self.tokens
-
-    # -- helpers -----------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _emit_newline(self) -> None:
-        if self.tokens and self.tokens[-1].kind not in ("newline",):
-            self.tokens.append(Token("newline", None, self.line))
-
-    def _skip_comment(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos] != "\n":
-            self.pos += 1
-
-    _SYMBOL_OPERATORS = ["<=>", "==", "!=", "[]=", "[]", "<=", ">=", "<<",
-                         "**", "-@", "+", "-", "*", "/", "%", "<", ">", "!"]
-
-    @staticmethod
-    def _is_symbol_start(ch: str) -> bool:
-        return bool(ch) and (ch.isalpha() or ch in '_"@$' or ch in "+-*/%<>=![")
-
-    def _lex_number(self) -> None:
-        start = self.pos
-        while self._peek().isdigit() or self._peek() == "_":
-            self.pos += 1
-        if self._peek() == "." and self._peek(1).isdigit():
-            self.pos += 1
-            while self._peek().isdigit():
-                self.pos += 1
-            literal = self.source[start:self.pos].replace("_", "")
-            self.tokens.append(Token("float", float(literal), self.line, self._tok_col))
-        else:
-            literal = self.source[start:self.pos].replace("_", "")
-            self.tokens.append(Token("int", int(literal), self.line, self._tok_col))
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "s": " ",
-                "\\": "\\", "'": "'", '"': '"', "#": "#"}
-
-    def _lex_sstring(self) -> None:
-        self.pos += 1
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise self.error("unterminated string literal")
-            if ch == "'":
-                self.pos += 1
+        source = self.source
+        tokens = self.tokens
+        append = tokens.append
+        match = _TOKEN.match
+        line, line_start, pos, end = self.line, self.line_start, 0, len(source)
+        while pos < end:
+            m = match(source, pos)
+            if m is None:  # blanks up to the end
                 break
-            if ch == "\\" and self._peek(1) in ("'", "\\"):
-                chars.append(self._peek(1))
-                self.pos += 2
+            kind = m.lastgroup
+            text = m.group(kind)
+            pos = m.end()
+            start = pos - len(text)
+            col = start - line_start + 1
+            if kind == "comment":
+                continue
+            if kind == "word":
+                if text in KEYWORDS:
+                    append(Token("kw", text, line, col))
+                elif text[0].isupper():
+                    tail = _CONST_TAIL.match(source, pos)
+                    if tail is not None:
+                        text += tail.group()
+                        pos = tail.end()
+                    append(Token("const", text, line, col))
+                else:
+                    append(Token("ident", text, line, col))
+            elif kind == "op":
+                append(Token("op", text, line, col))
+            elif kind == "newline":
+                if tokens and tokens[-1].kind != "newline":
+                    append(Token("newline", None, line))
+                line += 1
+                line_start = pos
+            elif kind == "symbol":
+                append(Token("symbol", text[1:], line, col))
+            elif kind == "string":
+                body = text[1:-1]
+                if "\\" in body:
+                    body = (_SSTRING_ESCAPE.sub(r"\1", body) if text[0] == "'"
+                            else _DSTRING_ESCAPE.sub(_unescape, body))
+                append(Token("string", body, line, col))
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = source.rindex("\n", 0, pos) + 1
+            elif kind == "number":
+                if "." in text:
+                    append(Token("float", float(text.replace("_", "")), line, col))
+                else:
+                    append(Token("int", int(text.replace("_", "")), line, col))
+            elif kind == "ivar" or kind == "gvar":
+                if not text.lstrip("@$"):
+                    self.line = line
+                    prefix = "instance" if kind == "ivar" else "global"
+                    raise self.error(f"bad {prefix} variable name")
+                append(Token(kind, text, line, col))
             else:
-                if ch == "\n":
-                    self.line += 1
-                    self.line_start = self.pos + 1
-                chars.append(ch)
-                self.pos += 1
-        self.tokens.append(Token("string", "".join(chars), self.line, self._tok_col))
+                self.line, self.line_start, self.pos = line, line_start, start
+                self._lex_slow(col)
+                line, line_start, pos = self.line, self.line_start, self.pos
+        self.line = line
+        if tokens and tokens[-1].kind != "newline":
+            append(Token("newline", None, line))
+        append(Token("eof", None, line))
+        return tokens
 
-    def _lex_dstring(self) -> None:
-        self.pos += 1
-        parts: list[tuple[str, str]] = []
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise self.error("unterminated string literal")
-            if ch == '"':
-                self.pos += 1
-                break
-            if ch == "\\":
-                escape = self._peek(1)
-                chars.append(self._ESCAPES.get(escape, "\\" + escape))
-                self.pos += 2
-                continue
-            if ch == "#" and self._peek(1) == "{":
-                if chars:
-                    parts.append(("str", "".join(chars)))
-                    chars = []
-                parts.append(("code", self._lex_interp_code()))
-                continue
-            if ch == "\n":
-                self.line += 1
-                self.line_start = self.pos + 1
-            chars.append(ch)
-            self.pos += 1
-        if chars or not parts:
-            parts.append(("str", "".join(chars)))
-        if len(parts) == 1 and parts[0][0] == "str":
-            self.tokens.append(Token("string", parts[0][1], self.line, self._tok_col))
-        else:
-            self.tokens.append(Token("dstring", parts, self.line, self._tok_col))
-
-    def _lex_interp_code(self) -> str:
-        # positioned at '#{'
-        self.pos += 2
-        depth = 1
-        start = self.pos
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    code = self.source[start:self.pos]
-                    self.pos += 1
-                    return code
-            elif ch == "\n":
-                self.line += 1
-                self.line_start = self.pos + 1
-            self.pos += 1
-        raise self.error("unterminated string interpolation")
-
-    def _lex_symbol(self) -> None:
-        self.pos += 1
-        for op in self._SYMBOL_OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self.tokens.append(Token("symbol", op, self.line, self._tok_col))
-                self.pos += len(op)
-                return
-        if self._peek() == '"':
+    # -- the cases the master pattern leaves out ---------------------------
+    def _lex_slow(self, col: int) -> None:
+        """Lex the token at ``self.pos`` that :data:`_TOKEN` routed to its
+        ``slow`` group: an interpolated string, a quoted symbol, a line
+        continuation, or an error."""
+        source, pos = self.source, self.pos
+        ch = source[pos]
+        if ch == '"':
+            self._lex_interp_string(col)
+        elif ch == ":" and source.startswith('"', pos + 1):
             # :"quoted symbol"
-            self._lex_dstring()
+            line = self.line
+            self.pos += 1
+            self._lex_interp_string(col)
             token = self.tokens.pop()
             if token.kind != "string":
                 raise self.error("interpolated symbols are not supported")
-            self.tokens.append(Token("symbol", token.value, self.line, self._tok_col))
-            return
-        start = self.pos
-        # ivar/gvar symbols: :@data, :@@count, :$db
-        while self._peek() in ("@", "$"):
-            self.pos += 1
-        while self._peek().isalnum() or self._peek() == "_":
-            self.pos += 1
-        if self._peek() in ("?", "!"):
-            self.pos += 1
-        elif self._peek() == "=" and self._peek(1) not in (">", "="):
-            self.pos += 1
-        self.tokens.append(Token("symbol", self.source[start:self.pos], self.line, self._tok_col))
-
-    def _lex_ivar(self) -> None:
-        self.pos += 1
-        if self._peek() == "@":
-            self.pos += 1
-            prefix = "@@"
+            self.tokens.append(Token("symbol", token.value, line, col))
+        elif ch == "\\" and source.startswith("\n", pos + 1):
+            self.pos += 2
+            self.line += 1
+            self.line_start = self.pos
         else:
-            prefix = "@"
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self.pos += 1
-        name = self.source[start:self.pos]
-        if not name:
-            raise self.error("bad instance variable name")
-        self.tokens.append(Token("ivar", prefix + name, self.line, self._tok_col))
+            if ch == "'":
+                self._move_to(len(source))
+                raise self.error("unterminated string literal")
+            raise self.error(f"unexpected character {ch!r}")
 
-    def _lex_gvar(self) -> None:
-        self.pos += 1
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self.pos += 1
-        name = self.source[start:self.pos]
-        if not name:
-            raise self.error("bad global variable name")
-        self.tokens.append(Token("gvar", "$" + name, self.line, self._tok_col))
-
-    def _lex_word(self) -> None:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self.pos += 1
-        # method-name suffixes ? and ! — but not when the next char makes a
-        # two-char operator (a != b) or begins a chain (x!.y is not a name)
-        if self._peek() in ("?", "!") and self._peek(1) not in (".", "=", "~"):
-            self.pos += 1
-        word = self.source[start:self.pos]
-        line = self.line
-        if word in KEYWORDS:
-            self.tokens.append(Token("kw", word, line, self._tok_col))
-        elif word[0].isupper():
-            # Allow namespaced constants (ActiveRecord::Base)
-            while self.source.startswith("::", self.pos) and self._peek(2).isalpha():
-                self.pos += 2
-                while self._peek().isalnum() or self._peek() == "_":
-                    self.pos += 1
-                word = self.source[start:self.pos]
-            self.tokens.append(Token("const", word, line, self._tok_col))
+    def _lex_interp_string(self, col: int) -> None:
+        """The double-quoted string at ``self.pos``, as a ``dstring`` token
+        of parts (or a ``string`` token when it has no ``#{...}``)."""
+        source, line = self.source, self.line
+        pos = self.pos + 1
+        parts: list[tuple[str, str]] = []
+        while True:
+            m = _DSTRING_TEXT.match(source, pos)
+            if m.end() > pos:
+                parts.append(("str", _DSTRING_ESCAPE.sub(_unescape, m.group())))
+            pos = m.end()
+            if source.startswith('"', pos):
+                break
+            if not source.startswith("#{", pos):
+                self._move_to(len(source))
+                raise self.error("unterminated string literal")
+            parts.append(("code", self._interp_code(pos + 2)))
+            pos = self.pos
+        self._move_to(pos + 1)
+        if not parts:
+            parts.append(("str", ""))
+        if len(parts) == 1 and parts[0][0] == "str":
+            self.tokens.append(Token("string", parts[0][1], line, col))
         else:
-            self.tokens.append(Token("ident", word, line, self._tok_col))
+            self.tokens.append(Token("dstring", parts, line, col))
 
-    def _lex_operator(self) -> None:
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self.tokens.append(Token("op", op, self.line, self._tok_col))
-                self.pos += len(op)
-                return
-        raise self.error(f"unexpected character {self.source[self.pos]!r}")
+    def _interp_code(self, start: int) -> Fragment:
+        """The code of the ``#{`` whose body begins at ``start``, up to its
+        matching ``}``; leaves ``self.pos`` after that brace."""
+        self._move_to(start)
+        depth = 1
+        for brace in _BRACE.finditer(self.source, start):
+            depth += 1 if brace.group() == "{" else -1
+            if depth == 0:
+                code = Fragment(self.source[start:brace.start()])
+                code.line, code.col = self.line, start - self.line_start + 1
+                self._move_to(brace.end())
+                return code
+        self._move_to(len(self.source))
+        raise self.error("unterminated string interpolation")
+
+    def _move_to(self, pos: int) -> None:
+        """Advance to ``pos``, counting the newlines passed on the way."""
+        newlines = self.source.count("\n", self.pos, pos)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.source.rindex("\n", self.pos, pos) + 1
+        self.pos = pos

@@ -64,13 +64,6 @@ class TestStaticFootprint:
         assert StaticFootprint(wildcard=True).covers(
             MethodDeps(frozenset({WILDCARD})))
 
-    def test_affected_by(self):
-        fp = StaticFootprint(tables=frozenset({"users"}))
-        assert fp.affected_by({"users"})
-        assert not fp.affected_by({"topics"})
-        assert fp.affected_by({WILDCARD})
-        assert StaticFootprint(wildcard=True).affected_by({"whatever"})
-
 
 @pytest.fixture
 def rdl():

@@ -221,3 +221,70 @@ end
     def test_parse_error_reported(self):
         with pytest.raises(ParseError):
             parse_program("def end")
+
+
+class TestPrecedence:
+    def test_tighter_operators_nest_right(self):
+        node = first_stmt("1 + 2 * 3 << 4")
+        assert node.name == "<<"
+        assert node.receiver.name == "+"
+        assert node.receiver.args[0].name == "*"
+
+    def test_same_level_associates_left(self):
+        node = first_stmt("8 - 4 - 2")
+        assert node.name == "-"
+        assert node.receiver.name == "-"
+        assert isinstance(node.args[0], ast.IntLit)
+
+    def test_not_binds_between_and_and_equality(self):
+        node = first_stmt("a || !b == c && d")
+        assert isinstance(node, ast.OrOp)
+        assert isinstance(node.right, ast.AndOp)
+        negated = node.right.left
+        assert isinstance(negated, ast.NotOp)
+        assert negated.operand.name == "=="
+
+    def test_range_takes_shifts_and_sums(self):
+        node = first_stmt("1 + 2..3 << 4")
+        assert isinstance(node, ast.RangeLit)
+        assert node.low.name == "+"
+        assert node.high.name == "<<"
+
+    def test_range_under_a_looser_operator(self):
+        node = first_stmt("x == 1..2")
+        assert node.name == "=="
+        assert isinstance(node.args[0], ast.RangeLit)
+
+    def test_ranges_do_not_chain(self):
+        for source in ("1..2..3", "x == 1..2..3", "!a..b..c"):
+            with pytest.raises(ParseError, match=r"unexpected token '\.\.'"):
+                parse_program(source, use_cache=False)
+
+    def test_newline_may_follow_a_binary_operator_but_not_a_range(self):
+        node = first_stmt("1 +\n  2")
+        assert node.name == "+"
+        with pytest.raises(ParseError, match="unexpected token None"):
+            parse_program("1..\n  2", use_cache=False)
+
+
+class TestStringPositions:
+    def test_interpolated_code_sits_at_its_source_position(self):
+        method = first_stmt('def f\n  "v=#{x.size}"\nend')
+        call = method.body[0].parts[1]
+        assert (call.name, call.line, call.col) == ("size", 2, 10)
+        assert (call.receiver.line, call.receiver.col) == (2, 8)
+
+    def test_interpolation_spanning_lines(self):
+        node = first_stmt('"a#{\n  b}"')
+        assert (node.parts[1].line, node.parts[1].col) == (2, 3)
+
+    def test_errors_inside_interpolation_name_their_line(self):
+        with pytest.raises(ParseError) as raised:
+            parse_program('x = 1\n"#{)}"', use_cache=False)
+        assert raised.value.line == 2
+
+    def test_multiline_literal_takes_its_opening_line(self):
+        node = first_stmt("s = 'ab\ncd'")
+        assert (node.value.line, node.value.col) == (1, 5)
+        program = parse_program('t = "ab\ncd"\nu', use_cache=False)
+        assert (program.body[0].value.line, program.body[1].line) == (1, 3)

@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from perfbench import synth
 from repro import CompRDL, Database
 from repro.analysis.footprint import FootprintAnalyzer
 from repro.apps import all_apps
@@ -40,6 +41,7 @@ from repro.runtime.interp import Interp
 from repro.runtime.member_compile import predicate_for
 from repro.runtime.membership import value_has_type
 from repro.runtime.objects import RArray, RHash, RString, Sym
+from tests.oracles import ruby_parser
 from tests.oracles.tree_interp import TreeInterp
 
 APPS = list(all_apps())
@@ -220,6 +222,18 @@ def test_compiled_vm_beats_the_tree_walker():
                         lambda: vm.run_program(program), repeats=20)
     speedup = tree_s / vm_s
     assert speedup >= 2.0, f"compiled VM only {speedup:.2f}x faster"
+
+
+def test_parser_beats_the_oracle():
+    """The master-pattern lexer and the precedence-climbing parser parse a
+    fresh 60-table synthetic app at least 3x faster than the recursive-
+    descent originals kept as the oracle."""
+    source = synth.generate(0, 60).source
+    oracle_s, parser_s = _cpu(
+        lambda: ruby_parser.parse_program(source, use_cache=False),
+        lambda: parse_program(source, use_cache=False), repeats=10)
+    speedup = oracle_s / parser_s
+    assert speedup >= 3.0, f"parser only {speedup:.2f}x faster than the oracle"
 
 
 def test_compiled_membership_beats_the_structural_walker():

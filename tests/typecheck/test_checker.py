@@ -343,3 +343,19 @@ end
 """)
         assert report.ok()
         assert report.casts_used == 1
+
+
+def test_error_inside_interpolation_names_its_line():
+    # the `#{...}` code is lexed where it sits, not as line 1 of a fragment
+    report = check("""class A
+  type "(Integer) -> String", typecheck: :app
+  def f(x)
+    y = x + 1
+    z = y * 2
+    w = z - 3
+    "v=#{x.no_such_method}"
+  end
+end
+""")
+    assert [str(error) for error in report.errors] == [
+        "no type information for method Integer#no_such_method in A#f (line 7)"]
