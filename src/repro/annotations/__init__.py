@@ -4,46 +4,81 @@ The paper writes 586 comp type annotations across Array, Hash, String,
 Integer, Float, ActiveRecord and Sequel, supported by 83 shared helper
 methods.  This package reproduces that library: helpers (some written in
 mini-Ruby, as in Fig. 1b; most native) plus one module of signature tables
-per library.  ``install_all`` loads everything into a CompRDL instance and
-returns per-library counts for the Table 1 harness.
+per library, listed once in :data:`LIBRARY`.  ``install_all`` registers
+that list into a CompRDL instance; :mod:`repro.evaluation.table1` counts
+Table 1 from the same list.
 """
 
 from __future__ import annotations
 
 from repro.annotations import helpers
-from repro.annotations import corelib_object
-from repro.annotations import corelib_array
-from repro.annotations import corelib_hash
-from repro.annotations import corelib_string
-from repro.annotations import corelib_numeric
-from repro.annotations import activerecord as ar_annotations
-from repro.annotations import sequel as sequel_annotations
+from repro.annotations.activerecord import (
+    ACTIVERECORD_SIGS,
+    ASSOCIATION_SIGS,
+    MODEL_INSTANCE_SIGS,
+)
+from repro.annotations.corelib_array import ARRAY_SIGS
+from repro.annotations.corelib_hash import HASH_SIGS
+from repro.annotations.corelib_numeric import FLOAT_SIGS, INTEGER_SIGS
+from repro.annotations.corelib_object import (
+    BOOLEAN_SIGS,
+    CLASS_SIGS,
+    EXCEPTION_SIGS,
+    NIL_SIGS,
+    OBJECT_SIGS,
+    PROC_SIGS,
+    RANGE_SIGS,
+    SYMBOL_SIGS,
+)
+from repro.annotations.corelib_string import STRING_SIGS
+from repro.annotations.sequel import (
+    SEQUEL_DATABASE_SIGS,
+    SEQUEL_DATASET_SIGS,
+    SEQUEL_MODEL_SIGS,
+)
+
+# (Table 1 row or None, class name, {method: sig-or-list}, static), in
+# install order.  A row of None installs without counting: the Object
+# tables are conventional types, and the ActiveRecord signatures that
+# relations and model instances share are counted once, on the DSL.
+LIBRARY: list[tuple[str | None, str, dict[str, object], bool]] = [
+    ("Array", "Array", ARRAY_SIGS, False),
+    ("Hash", "Hash", HASH_SIGS, False),
+    ("String", "String", STRING_SIGS, False),
+    ("Integer", "Integer", INTEGER_SIGS, False),
+    ("Float", "Float", FLOAT_SIGS, False),
+    (None, "Object", OBJECT_SIGS, False),
+    (None, "NilClass", NIL_SIGS, False),
+    (None, "Symbol", SYMBOL_SIGS, False),
+    (None, "Boolean", BOOLEAN_SIGS, False),
+    (None, "TrueClass", BOOLEAN_SIGS, False),
+    (None, "FalseClass", BOOLEAN_SIGS, False),
+    (None, "Proc", PROC_SIGS, False),
+    (None, "Range", RANGE_SIGS, False),
+    (None, "Exception", EXCEPTION_SIGS, False),
+    (None, "Class", CLASS_SIGS, False),
+    ("ActiveRecord", "ActiveRecord::Base", ACTIVERECORD_SIGS, True),
+    (None, "Table", ACTIVERECORD_SIGS, False),
+    (None, "ActiveRecord::Base", MODEL_INSTANCE_SIGS, False),
+    (None, "ActiveRecord::Base", ASSOCIATION_SIGS, True),
+    ("Sequel", "Sequel::Database", SEQUEL_DATABASE_SIGS, False),
+    ("Sequel", "Table", SEQUEL_DATASET_SIGS, False),
+    ("Sequel", "Sequel::Model", SEQUEL_MODEL_SIGS, True),
+]
 
 
-def install_all(rdl) -> dict[str, dict[str, int]]:
-    """Install every annotation set; returns Table 1 accounting.
+def signatures(table: dict[str, object]):
+    """``(method name, signature text)`` for every signature of a table,
+    in table order."""
+    for method_name, sigs in table.items():
+        for sig_text in sigs if isinstance(sigs, (list, tuple)) else (sigs,):
+            yield method_name, sig_text
 
-    The result maps library name to ``{"comp_defs": n, "loc": n}`` where
-    ``loc`` counts lines of type-level code (comp expression code plus
-    helper bodies attributed to the library).
-    """
+
+def install_all(rdl) -> None:
+    """Install the helpers, then register every :data:`LIBRARY` entry."""
     helpers.install(rdl)
-    stats: dict[str, dict[str, int]] = {}
-    for name, module in [
-        ("Array", corelib_array),
-        ("Hash", corelib_hash),
-        ("String", corelib_string),
-        ("Integer", corelib_numeric),
-        ("Float", corelib_numeric),
-        ("Object", corelib_object),
-        ("ActiveRecord", ar_annotations),
-        ("Sequel", sequel_annotations),
-    ]:
-        if name == "Float":
-            stats[name] = module.install_float(rdl)
-        elif name == "Integer":
-            stats[name] = module.install_integer(rdl)
-        else:
-            stats[name] = module.install(rdl)
-    stats["_helpers"] = {"count": len(rdl.registry.helper_methods)}
-    return stats
+    annotate = rdl.registry.annotate
+    for _row, class_name, table, static in LIBRARY:
+        for method_name, sig_text in signatures(table):
+            annotate(class_name, method_name, sig_text, static=static)

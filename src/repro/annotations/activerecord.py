@@ -9,8 +9,6 @@ once for Table 1.
 
 from __future__ import annotations
 
-from repro.annotations.sigs import install_table
-
 _TABLE = "«table_type_of(tself)»/Table"
 _RECORD = "«record_type(tself)»/Object"
 _RECORD_OR_NIL = "«record_or_nil(tself)»/Object"
@@ -89,13 +87,3 @@ ASSOCIATION_SIGS: dict[str, object] = {
     "has_one": "(Symbol) -> nil",
     "belongs_to": "(Symbol) -> nil",
 }
-
-
-def install(rdl) -> dict[str, int]:
-    stats = install_table(rdl, "ActiveRecord::Base", ACTIVERECORD_SIGS, static=True)
-    # the same signatures apply to relations (Table instances); not
-    # double-counted for Table 1
-    install_table(rdl, "Table", ACTIVERECORD_SIGS, static=False)
-    install_table(rdl, "ActiveRecord::Base", MODEL_INSTANCE_SIGS, static=False)
-    install_table(rdl, "ActiveRecord::Base", ASSOCIATION_SIGS, static=True)
-    return stats

@@ -9,8 +9,6 @@ receiver's element type.  Every signature falls back to the conventional
 
 from __future__ import annotations
 
-from repro.annotations.sigs import install_table
-
 _ELEM = "«array_elem_type(tself)»/Object"
 _ELEM_OR_NIL = "«array_elem_or_nil(tself)»/Object"
 _SAME = "«array_of_elem(tself)»/Array"
@@ -164,7 +162,3 @@ ARRAY_SIGS: dict[str, object] = {
     "combination": "(Integer) -> Array<Array<Object>>",
     "transpose": "() -> Array<Array<Object>>",
 }
-
-
-def install(rdl) -> dict[str, int]:
-    return install_table(rdl, "Array", ARRAY_SIGS)

@@ -8,8 +8,6 @@ annotations exist to reproduce Table 1 and the §2.4 experiment.
 
 from __future__ import annotations
 
-from repro.annotations.sigs import install_table
-
 
 def _arith(op: str) -> str:
     return f"(t<:Numeric) -> «num_fold(tself, t, :{op})»/Numeric"
@@ -101,11 +99,3 @@ FLOAT_SIGS: dict[str, object] = {
     "integer?": "() -> false",
     "-@": _unary("-@", "Float"),
 }
-
-
-def install_integer(rdl) -> dict[str, int]:
-    return install_table(rdl, "Integer", INTEGER_SIGS)
-
-
-def install_float(rdl) -> dict[str, int]:
-    return install_table(rdl, "Float", FLOAT_SIGS)

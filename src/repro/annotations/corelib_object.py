@@ -7,8 +7,6 @@ counts), plus the λC §3.1 example: comp types for ``TrueClass``/
 
 from __future__ import annotations
 
-from repro.annotations.sigs import install_table
-
 OBJECT_SIGS: dict[str, object] = {
     "==": "(Object) -> %bool",
     "!=": "(Object) -> %bool",
@@ -119,26 +117,3 @@ CLASS_SIGS: dict[str, object] = {
     "name": "() -> String",
     "to_s": "() -> String",
 }
-
-
-def install(rdl) -> dict[str, int]:
-    total = {"comp_defs": 0, "loc": 0}
-    for class_name, table in [
-        ("Object", OBJECT_SIGS),
-        ("NilClass", NIL_SIGS),
-        ("Symbol", SYMBOL_SIGS),
-        ("Boolean", BOOLEAN_SIGS),
-        ("TrueClass", BOOLEAN_SIGS),
-        ("FalseClass", BOOLEAN_SIGS),
-        ("Proc", PROC_SIGS),
-        ("Range", RANGE_SIGS),
-        ("Exception", EXCEPTION_SIGS),
-    ]:
-        stats = install_table(rdl, class_name, table)
-        total["comp_defs"] += stats["comp_defs"]
-        total["loc"] += stats["loc"]
-    for class_name, table in [("Class", CLASS_SIGS)]:
-        stats = install_table(rdl, class_name, table, static=False)
-        total["comp_defs"] += stats["comp_defs"]
-        total["loc"] += stats["loc"]
-    return total

@@ -9,8 +9,6 @@ Mutators are impure, triggering the weak promotion of const strings back to
 
 from __future__ import annotations
 
-from repro.annotations.sigs import install_table
-
 
 def _fold(op: str) -> str:
     return f"() -> «str_fold_unary(tself, :{op})»/String"
@@ -125,7 +123,3 @@ STRING_SIGS: dict[str, object] = {
     "partition": "(String) -> [String, String, String]",
     "rpartition": "(String) -> [String, String, String]",
 }
-
-
-def install(rdl) -> dict[str, int]:
-    return install_table(rdl, "String", STRING_SIGS)

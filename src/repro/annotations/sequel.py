@@ -8,8 +8,6 @@ with ActiveRecord; ``record_type`` distinguishes the two result shapes.
 
 from __future__ import annotations
 
-from repro.annotations.sigs import install_table
-
 _TABLE = "«table_type_of(tself)»/Table"
 _RECORD_OR_NIL = "«record_or_nil(tself)»/Object"
 _COND = "«query_schema_type(tself)»"
@@ -52,14 +50,3 @@ SEQUEL_MODEL_SIGS: dict[str, object] = {
     "insert": f"(t<:{_COND}) -> Integer",
     "dataset": f"() -> {_TABLE}",
 }
-
-
-def install(rdl) -> dict[str, int]:
-    stats_db = install_table(rdl, "Sequel::Database", SEQUEL_DATABASE_SIGS)
-    stats_ds = install_table(rdl, "Table", SEQUEL_DATASET_SIGS)
-    stats_model = install_table(rdl, "Sequel::Model", SEQUEL_MODEL_SIGS, static=True)
-    return {
-        "comp_defs": stats_db["comp_defs"] + stats_ds["comp_defs"]
-        + stats_model["comp_defs"],
-        "loc": stats_db["loc"] + stats_ds["loc"] + stats_model["loc"],
-    }

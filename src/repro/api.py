@@ -71,9 +71,8 @@ class CompRDL:
         self.db = db if db is not None else Database(backend=backend)
         install_activerecord(self.interp, self.db)
         install_sequel(self.interp, self.db)
-        self.library_stats: dict = {}
         if install_libraries:
-            self.library_stats = install_all(self)
+            install_all(self)
         self.config = CheckerConfig(
             use_comp_types=use_comp_types,
             insert_checks=insert_checks,

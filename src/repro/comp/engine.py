@@ -47,6 +47,9 @@ class CompEngine:
         # bumped on every (re)definition or annotation in this universe:
         # with the schema generation, the state check specs trust (§4)
         self.method_epoch = 0
+        # the code of every comp whose §4 walk reached the name of the last
+        # method (re)defined or annotated; the scheduler reads it next
+        self.stale_comps: set[str] = set()
         db = getattr(interp, "db", None)
         if db is not None and hasattr(db, "add_read_listener"):
             db.add_read_listener(self.deps.note_table)
@@ -59,11 +62,12 @@ class CompEngine:
         only on (code, bindings, schema generation) — so drop everything.
         Loads after checking are rare; the cache re-fills on the next pass.
         (The parsed-AST cache survives: comp *code* text didn't change.)
-        Termination walks that consulted the method's name are dropped."""
+        Termination walks that consulted the method's name are dropped,
+        and the comps they walked become ``stale_comps``."""
         self.method_epoch += 1
         if len(self.cache):
             self.cache.clear()
-        self.termination.forget(key.method_name)
+        self.stale_comps = self.termination.forget(key.method_name)
 
     # ------------------------------------------------------------------
     @property

@@ -95,12 +95,25 @@ class TerminationChecker:
         # rests on every helper the walk reached, so any forget() clears it
         self._passed: dict[str, object] = {}
 
-    def forget(self, method_name: str) -> None:
+    def forget(self, method_name: str) -> set[str]:
         """A method named ``method_name`` was defined or annotated: drop
-        every walk that consulted the effects or body of that name."""
+        every walk that consulted the effects or body of that name.
+        Returns the code of every comp whose walk reached the name, itself
+        or through the ``Object`` methods it follows."""
+        comps: set[str] = set()
+        names = {method_name}
+        todo = [method_name]
+        while todo:
+            for kind, owner in self._readers.get(todo.pop(), ()):
+                if kind == "comp":
+                    comps.add(owner)
+                elif owner not in names:
+                    names.add(owner)
+                    todo.append(owner)
         self._passed.clear()
         for key in self._readers.pop(method_name, ()):
             self._walks.pop(key, None)
+        return comps
 
     # ------------------------------------------------------------------
     # entry points

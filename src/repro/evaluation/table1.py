@@ -1,8 +1,9 @@
 """Table 1: library methods with comp type definitions.
 
-Loads the annotation sets and counts, per library: comp type definitions,
-lines of type-level code, and shared helper methods — side by side with the
-paper's reported numbers.
+Counts, per library: comp type definitions and lines of type-level code,
+straight from the annotation list :data:`repro.annotations.LIBRARY` that
+every universe installs, plus the shared helper methods of a fresh
+universe — side by side with the paper's reported numbers.
 
 Run with ``python -m repro.evaluation.table1``.  Pass ``--check-apps`` to
 additionally cold-check every subject-app method those libraries serve,
@@ -13,7 +14,10 @@ check a ``check_all(label, workers=N)`` round on session workers, see
 
 from __future__ import annotations
 
+from repro.annotations import LIBRARY, signatures
 from repro.api import CompRDL
+from repro.rtypes import parse_method_type
+from repro.rtypes.methods import MethodType
 
 PAPER_TABLE1 = {
     "Array": {"comp_defs": 114, "loc": 215, "helpers": 15},
@@ -28,18 +32,40 @@ PAPER_TABLE1 = {
 _ORDER = ["Array", "Hash", "String", "Float", "Integer", "ActiveRecord", "Sequel"]
 
 
-def table1_rows(rdl: CompRDL | None = None) -> dict:
-    """Measured Table 1 numbers from a loaded CompRDL instance."""
-    if rdl is None:
-        rdl = CompRDL()
-    stats = dict(rdl.library_stats)
-    helpers = stats.pop("_helpers", {"count": 0})["count"]
+def library_counts() -> dict[str, dict[str, int]]:
+    """``{row: {"comp_defs": n, "loc": n}}`` over the counted entries of
+    :data:`LIBRARY`.  A method counts once per table if any of its
+    signatures is a comp type; ``loc`` is the comp code those carry."""
+    counts: dict[str, dict[str, int]] = {}
+    for row, _class_name, table, _static in LIBRARY:
+        if row is None:
+            continue
+        tally = counts.setdefault(row, {"comp_defs": 0, "loc": 0})
+        comp_methods = set()
+        for method_name, sig_text in signatures(table):
+            signature = parse_method_type(sig_text)
+            if signature.is_comp():
+                comp_methods.add(method_name)
+                tally["loc"] += _comp_loc(signature)
+        tally["comp_defs"] += len(comp_methods)
+    return counts
+
+
+def _comp_loc(signature: MethodType) -> int:
+    """Lines of type-level code inside one signature."""
+    return sum(max(1, len([line for line in comp.code.splitlines()
+                           if line.strip()]))
+               for comp in signature.comp_exprs())
+
+
+def table1_rows() -> dict:
+    """Measured Table 1 numbers next to the paper's."""
+    counts = library_counts()
     rows = {}
     for library in _ORDER:
-        measured = stats.get(library, {"comp_defs": 0, "loc": 0})
         rows[library] = {
-            "comp_defs": measured["comp_defs"],
-            "loc": measured["loc"],
+            "comp_defs": counts[library]["comp_defs"],
+            "loc": counts[library]["loc"],
             "paper_comp_defs": PAPER_TABLE1[library]["comp_defs"],
             "paper_loc": PAPER_TABLE1[library]["loc"],
         }
@@ -48,7 +74,7 @@ def table1_rows(rdl: CompRDL | None = None) -> dict:
         "loc": sum(rows[l]["loc"] for l in _ORDER),
         "paper_comp_defs": 586,
         "paper_loc": 1447,
-        "helpers": helpers,
+        "helpers": len(CompRDL().registry.helper_methods),
         "paper_helpers": 83,
     }
     return rows

@@ -76,16 +76,26 @@ class IncrementalScheduler:
         verdict (if any) is stale regardless of the schema generation.  A
         *re*definition or re-annotation may change what a type-level helper
         computes, so every cached verdict that evaluated a comp is stale
-        too; a brand-new key dirties only itself."""
+        too.  A brand-new key dirties itself and the verdicts that
+        evaluated a comp whose §4 walk named it: that comp called the
+        method before it existed (the engine's listener, which runs first,
+        collected those comps)."""
         if key in self.results:
             self.dirty.add(key)
             self.stats.methods_dirtied += 1
+        comps = self.checker.engine.stale_comps
         if redefined:
             stale = {other for other in self.results
                      if other not in self.dirty
                      and self.tracker.deps_of(other).comps}
-            self.dirty |= stale
-            self.stats.methods_dirtied += len(stale)
+        elif comps:
+            stale = {other for other in self.results
+                     if other not in self.dirty
+                     and not comps.isdisjoint(self.tracker.deps_of(other).comps)}
+        else:
+            return
+        self.dirty |= stale
+        self.stats.methods_dirtied += len(stale)
 
     def mark_all_dirty(self) -> None:
         """Escape hatch: force full re-verification on the next pass."""

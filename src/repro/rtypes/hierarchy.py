@@ -14,19 +14,13 @@ from __future__ import annotations
 class ClassHierarchy:
     """A registry of classes and their superclasses.
 
-    ``le`` queries are memoized per hierarchy (``_le_cache``), and the
-    subtyping relation keeps an identity-keyed memo for *interned* type
-    pairs here too (``subtype_memo`` — owned by this class because its
-    entries are only valid against one hierarchy's ancestor tables).  Both
-    caches are dropped whenever the hierarchy gains a class.
+    ``le`` queries are memoized per hierarchy (``_le_cache``); the cache
+    is dropped whenever the hierarchy gains a class.
     """
 
     def __init__(self) -> None:
         self._superclass: dict[str, str | None] = {"Object": None}
         self._le_cache: dict[tuple[str, str], bool] = {}
-        # (id(s), id(t)) -> bool for interned (hence immortal, immutable)
-        # type objects; see repro.rtypes.subtype
-        self.subtype_memo: dict[tuple[int, int], bool] = {}
 
     def add_class(self, name: str, superclass: str = "Object") -> None:
         """Register ``name`` with the given superclass (default ``Object``)."""
@@ -40,8 +34,6 @@ class ClassHierarchy:
         self._superclass[name] = superclass
         if self._le_cache:
             self._le_cache.clear()
-        if self.subtype_memo:
-            self.subtype_memo.clear()
         if superclass not in self._superclass:
             self._superclass[superclass] = "Object"
 

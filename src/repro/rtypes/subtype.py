@@ -55,40 +55,11 @@ def subtype(
     ``record=True`` appends promotion constraints to the logs of any mutable
     types involved, so that later weak updates can replay them; pass
     ``record=False`` for speculative queries (e.g. overload selection).
-
-    Interned pairs are memoized per hierarchy: interned types are immortal
-    and immutable (so ``id`` is a stable key and the verdict can never go
-    stale) and contain no weak-update types (so ``record`` has no side
-    effects to lose).  The memo lives on the hierarchy because a verdict is
-    only valid against one ancestor table; it clears on ``add_class``.
     """
     hierarchy = hierarchy or _DEFAULT
     if _OBS_ON[0]:
         bump("subtype.queries")
-    if s is t:
-        return True
-    if s._interned and t._interned:
-        memo = hierarchy.subtype_memo
-        key = (id(s), id(t))
-        cached = memo.get(key)
-        if cached is None:
-            cached = _subtype_uncached(s, t, hierarchy, record)
-            if len(memo) > 65536:
-                memo.clear()
-            memo[key] = cached
-        elif _OBS_ON[0]:
-            bump("subtype.memo_hits")
-        return cached
-    return _subtype_uncached(s, t, hierarchy, record)
-
-
-def _subtype_uncached(
-    s: RType,
-    t: RType,
-    hierarchy: ClassHierarchy,
-    record: bool,
-) -> bool:
-    if s == t:
+    if s is t or s == t:
         return True
     if isinstance(s, AnyType) or isinstance(t, AnyType):
         return True

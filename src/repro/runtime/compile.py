@@ -18,9 +18,9 @@ every universe in the process.
 Semantics are those of the tree-walking reference interpreter kept with
 the tests (``tests/oracles/tree_interp.py``), bit for bit: both share
 ``call_method``/``_dispatch``, the corelib, the object model and the
-dynamic-check table.  ``_dispatch_cached`` below replicates
-``Interp._dispatch`` and must be kept in sync with it; on top of the
-replica it adds a per-call-site inline cache (receiver Python type +
+dynamic-check table.  ``_dispatch_cached`` below follows
+``Interp._dispatch`` and shares its method lookup (``Interp.find_method``),
+adding a per-call-site inline cache (receiver Python type +
 method-table epoch + foreign-handler count + owning interpreter) that
 skips the foreign-handler loop and method lookup for monomorphic sites on
 builtin value types.
@@ -71,7 +71,8 @@ def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
 
     With dynamic checks enabled every call goes through ``call_method`` so
     inserted check specs fire at every checked site.  Otherwise this is
-    ``Interp._dispatch`` (replicated — keep in sync) plus the inline cache.
+    ``Interp._dispatch`` (foreign handlers, then ``Interp.find_method``)
+    plus the inline cache.
     """
     if i.checks_enabled:
         return i.call_method(recv, name, args, block, line, node_id=nid)
@@ -95,24 +96,7 @@ def _dispatch_cached(i, recv, name, args, block, line, nid, cache):
         handled, value = handler(i, recv, name, args, block, line)
         if handled:
             return value
-    if isinstance(recv, RClass):
-        method = recv.lookup_static(name)
-        if method is None:
-            method = i.classes["Object"].lookup_instance(name)
-        if method is None:
-            raise RaiseSignal(i.make_exception(
-                "NoMethodError", f"undefined method '{name}' for {recv.name}",
-                line))
-        return i.invoke(method, recv, args, block, line)
-    rclass = i.class_of(recv)
-    method = rclass.lookup_instance(name)
-    if method is None:
-        if recv is None:
-            raise RaiseSignal(i.make_exception(
-                "NoMethodError", f"undefined method '{name}' for nil", line))
-        raise RaiseSignal(i.make_exception(
-            "NoMethodError", f"undefined method '{name}' for {rclass.name}",
-            line))
+    method = i.find_method(recv, name, line)
     if t in _CACHEABLE_TYPES:
         if _OBS_ON[0]:
             bump("vm.inline_cache.misses")
@@ -846,8 +830,6 @@ def _c_class_def(node, root):
         if klass is None:
             klass = i.define_class(name, superclass)
         body(i, Frame(klass, Env(), defining_class=klass))
-        if i.registry is not None:
-            i.registry.note_class(name, superclass)
         for hook in i.class_def_hooks:
             hook(i, klass)
         return None

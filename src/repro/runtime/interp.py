@@ -389,6 +389,12 @@ class Interp:
             handled, value = handler(self, receiver, name, args, block, line)
             if handled:
                 return value
+        return self.invoke(self.find_method(receiver, name, line),
+                           receiver, args, block, line)
+
+    def find_method(self, receiver: object, name: str, line: int) -> RMethod:
+        """The method ``receiver.name`` runs, past the foreign handlers;
+        raises ``NoMethodError`` when there is none."""
         if isinstance(receiver, RClass):
             method = receiver.lookup_static(name)
             if method is None:
@@ -397,7 +403,7 @@ class Interp:
             if method is None:
                 raise RaiseSignal(self.make_exception(
                     "NoMethodError", f"undefined method '{name}' for {receiver.name}", line))
-            return self.invoke(method, receiver, args, block, line)
+            return method
         rclass = self.class_of(receiver)
         method = rclass.lookup_instance(name)
         if method is None:
@@ -406,7 +412,7 @@ class Interp:
                     "NoMethodError", f"undefined method '{name}' for nil", line))
             raise RaiseSignal(self.make_exception(
                 "NoMethodError", f"undefined method '{name}' for {rclass.name}", line))
-        return self.invoke(method, receiver, args, block, line)
+        return method
 
     def invoke(self, method: RMethod, receiver: object, args: list,
                block: RBlock | None, line: int) -> object:

@@ -117,9 +117,6 @@ class TypeChecker:
                 parent = klass.superclass.name if klass.superclass else "Object"
                 if not hierarchy.knows(name):
                     hierarchy.add_class(name, parent)
-            for name, parent in self.registry.class_parents.items():
-                if not hierarchy.knows(name):
-                    hierarchy.add_class(name, parent)
             self._hierarchy = hierarchy
             self._hierarchy_size = len(self.interp.classes)
         return self._hierarchy

@@ -72,10 +72,7 @@ class AnnotationRegistry:
         self.gvar_types: dict[str, RType] = {}
         self.const_types: dict[str, RType] = {}
         self.defined_methods: dict[MethodKey, ast.MethodDef] = {}
-        self.class_parents: dict[str, str] = {}
         self.typecheck_requests: list[str] = []
-        # annotation accounting for Table 1
-        self.comp_annotation_count: dict[str, int] = {}
         self.helper_methods: set[str] = set()
         # ``listener(key, redefined)`` fires when a method is defined or
         # gains an annotation; ``redefined`` says the key already had an
@@ -194,10 +191,6 @@ class AnnotationRegistry:
             # carry the label: check_label and the parallel fleet both walk
             # this order, and verdict parity needs them to agree on the count
             self.labels.setdefault(annotation.label, {})[key] = None
-        if annotation.signature.is_comp():
-            self.comp_annotation_count[key.class_name] = (
-                self.comp_annotation_count.get(key.class_name, 0) + 1
-            )
         self._notify_method_changed(key, redefined)
 
     def annotate(
@@ -233,9 +226,6 @@ class AnnotationRegistry:
             self.add_annotation(key, annotation)
         self._notify_method_changed(key, redefined)
 
-    def note_class(self, name: str, superclass: str) -> None:
-        self.class_parents.setdefault(name, superclass)
-
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
@@ -244,13 +234,14 @@ class AnnotationRegistry:
         seen = {class_name}
         current = class_name
         while True:
-            parent = self.class_parents.get(current)
-            if parent is None and interp is not None:
-                klass = interp.classes.get(current)
-                parent = klass.superclass.name if klass is not None and klass.superclass else None
-            if parent is None and current != "Object":
+            klass = interp.classes.get(current) if interp is not None else None
+            if klass is not None and klass.superclass is not None:
+                parent = klass.superclass.name
+            elif current != "Object":
                 parent = "Object"
-            if parent is None or parent in seen:
+            else:
+                break
+            if parent in seen:
                 break
             chain.append(parent)
             seen.add(parent)

@@ -424,6 +424,66 @@ end
     assert report.ok() and "Extra.total" in report.checked_methods
 
 
+LATER_HELPER_APP = """
+def outer_helper(t)
+  later_helper(t)
+end
+class Box
+  type :get, "() -> «later_helper(tself)»"
+  def get()
+    1
+  end
+  type :wrapped, "() -> «outer_helper(tself)»"
+  def wrapped()
+    1
+  end
+end
+class User2
+  type :f, "() -> Integer", typecheck: :u
+  def f()
+    Box.new.get
+  end
+  type :g, "() -> Integer", typecheck: :u
+  def g()
+    Box.new.wrapped
+  end
+  type :h, "() -> Integer", typecheck: :u
+  def h()
+    1
+  end
+end
+"""
+
+LATER_HELPER = """
+class Object
+  type :later_helper, "(Object) -> Object"
+end
+def later_helper(t)
+  Nominal.new(Integer)
+end
+"""
+
+
+def test_defining_a_helper_a_cached_comp_called_dirties_that_verdict():
+    # User2#f's comp calls later_helper before it exists, User2#g's through
+    # outer_helper: defining it is brand-new (no redefinition), yet both
+    # verdicts are stale — incremental ≡ full, while User2#h stays clean
+    rdl = CompRDL()
+    rdl.load(LATER_HELPER_APP)
+    before = rdl.check_all("u")
+    assert len(before.errors) == 2
+    assert all("later_helper" in str(e) for e in before.errors)
+    rdl.load(LATER_HELPER)
+    assert {str(k) for k in rdl.incremental.dirty} == {"User2#f", "User2#g"}
+    incremental = rdl.check_all("u")
+
+    fresh = CompRDL()
+    fresh.load(LATER_HELPER_APP)
+    fresh.load(LATER_HELPER)
+    assert fresh.check_all("u").ok()
+    assert incremental.ok()
+
+
 def test_redefining_a_method_dirties_its_cached_verdict():
     rdl = build_universe()
     assert rdl.check_all("inc").ok()

@@ -199,13 +199,3 @@ def test_perfbench_ledger_counter_keys_move_on_a_traced_cycle():
                 "membership.ic_hits", "membership.ic_misses"):
         assert diff.get(key, 0) > 0, key
 
-
-def test_subtype_memo_hits_key_moves_on_a_repeated_query():
-    from repro.rtypes import NominalType, intern
-    from repro.rtypes.subtype import subtype
-
-    obs.enable()
-    obs.reset()
-    sub, sup = intern(NominalType("Integer")), intern(NominalType("Numeric"))
-    assert subtype(sub, sup) and subtype(sub, sup)
-    assert obs.metrics_snapshot()["counters.subtype.memo_hits"] >= 1

@@ -316,8 +316,6 @@ class TreeInterp(Interp):
             klass = self.define_class(node.name, node.superclass or "Object")
         body_frame = Frame(klass, Env(), defining_class=klass)
         self.eval_body(node.body, body_frame)
-        if self.registry is not None:
-            self.registry.note_class(node.name, node.superclass or "Object")
         for hook in self.class_def_hooks:
             hook(self, klass)
         return None

@@ -139,11 +139,11 @@ def test_fresh_copy_shares_immutable_and_copies_mutable():
     assert fresh_copy(leaf) is leaf
 
 
-def test_subtype_agrees_on_interned_pairs_and_memoizes():
+def test_subtype_agrees_on_interned_pairs():
     s = intern(parse_type("Integer"))
     t = intern(parse_type("Integer or String"))
     assert subtype(s, t)
-    assert subtype(s, t)  # memoized second query
+    assert subtype(s, t)  # a repeated query agrees
     assert not subtype(t, s)
     assert subtype(intern(parse_type("Array<Integer>")), intern(parse_type("Array<Integer>")))
 

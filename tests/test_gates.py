@@ -25,6 +25,7 @@ import gc
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ from perfbench import synth
 from repro import CompRDL, Database
 from repro.analysis.footprint import FootprintAnalyzer
 from repro.apps import all_apps
-from repro.evaluation.table1 import PAPER_TABLE1, table1_rows
+from repro.evaluation.table1 import PAPER_TABLE1, render_table1, table1_rows
 from repro.lang.parser import parse_program
 from repro.parallel import ParallelCheckEngine
 from repro.rtypes import (ConstStringType, NominalType, OptionalArg,
@@ -105,6 +106,13 @@ def test_table1_comp_definition_floors():
     assert rows["Array"]["comp_defs"] >= 60
     assert rows["_total"]["comp_defs"] >= 200
     assert rows["_total"]["helpers"] >= 40
+
+
+def test_table1_matches_the_committed_table():
+    """``python -m repro.evaluation.table1`` prints exactly the committed
+    table: an annotation edit that moves a count must update it."""
+    expected = Path(__file__).with_name("table1_expected.txt").read_text()
+    assert render_table1() + "\n" == expected
 
 
 def test_table2_checks_every_app_in_seconds():
