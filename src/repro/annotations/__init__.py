@@ -4,12 +4,15 @@ The paper writes 586 comp type annotations across Array, Hash, String,
 Integer, Float, ActiveRecord and Sequel, supported by 83 shared helper
 methods.  This package reproduces that library: helpers (some written in
 mini-Ruby, as in Fig. 1b; most native) plus one module of signature tables
-per library, listed once in :data:`LIBRARY`.  ``install_all`` registers
-that list into a CompRDL instance; :mod:`repro.evaluation.table1` counts
-Table 1 from the same list.
+per library, listed once in :data:`LIBRARY`.  :func:`library_registry`
+registers the helpers and that list once per process, ``install_all``
+gives each CompRDL instance a copy-on-write view of it, and
+:mod:`repro.evaluation.table1` counts Table 1 from the same list.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.annotations import helpers
 from repro.annotations.activerecord import (
@@ -36,6 +39,7 @@ from repro.annotations.sequel import (
     SEQUEL_DATASET_SIGS,
     SEQUEL_MODEL_SIGS,
 )
+from repro.typecheck.registry import AnnotationRegistry
 
 # (Table 1 row or None, class name, {method: sig-or-list}, static), in
 # install order.  A row of None installs without counting: the Object
@@ -75,10 +79,21 @@ def signatures(table: dict[str, object]):
             yield method_name, sig_text
 
 
-def install_all(rdl) -> None:
-    """Install the helpers, then register every :data:`LIBRARY` entry."""
-    helpers.install(rdl)
-    annotate = rdl.registry.annotate
+@functools.cache
+def library_registry() -> AnnotationRegistry:
+    """The process-wide base: every helper's signature, then every
+    :data:`LIBRARY` entry, registered in install order on the first call.
+    Universes share its annotations, so nothing may mutate it."""
+    registry = AnnotationRegistry()
+    helpers.annotate(registry)
     for _row, class_name, table, static in LIBRARY:
         for method_name, sig_text in signatures(table):
-            annotate(class_name, method_name, sig_text, static=static)
+            registry.annotate(class_name, method_name, sig_text, static=static)
+    return registry
+
+
+def install_all(rdl) -> None:
+    """Adopt the library into a universe's registry, then give the
+    universe the helpers' bodies."""
+    rdl.registry.adopt(library_registry())
+    helpers.install(rdl)

@@ -12,6 +12,8 @@ termination checker accepts comp types that call it.
 
 from __future__ import annotations
 
+import re
+
 from repro.db.engine import pluralize, snake_case
 from repro.rtypes import (
     ConstStringType,
@@ -25,7 +27,7 @@ from repro.rtypes import (
 )
 from repro.rtypes.kinds import ClassRef, Sym
 from repro.runtime.errors import RubyError
-from repro.runtime.objects import RMethod, RString
+from repro.runtime.objects import RMethod, RString, adopt_shared
 
 _OBJECT = NominalType("Object")
 _BOOL = NominalType("Boolean")
@@ -70,22 +72,32 @@ def table_type_of(tself)
 end
 """
 
+# Their ``type`` lines are registered once per process with the rest of the
+# library (:func:`annotate`); each universe runs only the ``def``s
+# (:func:`install`), with a blank line where each ``type`` was, so every
+# ``def`` keeps its line number
+_HELPER_TYPE = re.compile(r'^type :(\w+), "([^"]*)", terminates: :\+, pure: :\+$',
+                          re.MULTILINE)
+_RUBY_HELPER_TYPES = dict(_HELPER_TYPE.findall(_RUBY_HELPERS))
+_RUBY_HELPER_DEFS = _HELPER_TYPE.sub("", _RUBY_HELPERS)
+
+
+def annotate(registry) -> None:
+    """Register every helper's signature and mark it a comp helper: the
+    native helpers, then the mini-Ruby ones, in that order."""
+    for name in (*_NATIVE_HELPERS, *_RUBY_HELPER_TYPES):
+        signature = _RUBY_HELPER_TYPES.get(name, "(*Type) -> Type")
+        registry.annotate("Object", name, signature, terminates="+", pure="+")
+        registry.helper_methods.add(name)
+
 
 def install(rdl) -> None:
-    """Install all native and mini-Ruby type-level helpers."""
+    """Give a universe the helpers' bodies: the process-wide native
+    methods, then the mini-Ruby ``def``s, owned by this universe's
+    ``Object``."""
     interp = rdl.interp
-    registry = rdl.registry
-    obj = interp.classes["Object"]
-
-    for name, fn in _NATIVE_HELPERS.items():
-        obj.define(name, RMethod(name, native=fn))
-        registry.annotate("Object", name, "(*Type) -> Type",
-                          terminates="+", pure="+")
-        registry.helper_methods.add(name)
-
-    interp.run(_RUBY_HELPERS)
-    for name in ("schema_type", "query_schema_type", "joins_type", "table_type_of"):
-        registry.helper_methods.add(name)
+    adopt_shared([(interp.classes["Object"], _NATIVE_METHODS, {})])
+    interp.run(_RUBY_HELPER_DEFS)
 
 
 # ---------------------------------------------------------------------------
@@ -836,3 +848,7 @@ _NATIVE_HELPERS = {
     "records_array_type": _records_array_type,
     "dataset_type": _dataset_type,
 }
+
+# one RMethod per native helper for the whole process (``owner`` None)
+_NATIVE_METHODS = {name: RMethod(name, native=fn)
+                   for name, fn in _NATIVE_HELPERS.items()}

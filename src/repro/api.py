@@ -184,7 +184,7 @@ class CompRDL:
 
         With ``workers > 1`` the pending methods are checked on up to that
         many warm session workers, exactly like ``recheck_dirty(workers=N)``:
-        a cold check is a session attach with an empty delta.  Every label
+        a cold check's requests also attach the session.  Every label
         must name a :mod:`repro.apps` subject app.  The universe's warm
         engine is used when its width matches; otherwise a transient one
         runs the round and is closed before returning.  Worker verdicts and

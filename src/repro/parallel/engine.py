@@ -6,8 +6,9 @@ universe on it.  Session workers keep replicas of the universe's subject
 app, receive schema-journal deltas plus post-build load records, and check
 only the pending methods; the report is verdict-for-verdict identical to the
 serial incremental path.  ``CompRDL.check_all(label, workers=N)`` is
-:meth:`ParallelCheckEngine.check` — a cold check is a session attach with an
-empty delta — and ``CompRDL.recheck_dirty(workers=N)`` is
+:meth:`ParallelCheckEngine.check` — a cold check of a pristine universe
+attaches each worker with its first check request, one round trip — and
+``CompRDL.recheck_dirty(workers=N)`` is
 :meth:`~ParallelCheckEngine.recheck_dirty`.  Several apps are several such
 rounds, one per app.  :meth:`~ParallelCheckEngine.prime` prebuilds pristine
 replicas in every worker, so a later attach adopts them instead of
@@ -179,18 +180,21 @@ class ParallelCheckEngine:
         reason = self.warm_block_reason(rdl, labels)
         if reason is not None:
             raise ValueError(f"cannot attach a warm session: {reason}")
-        if self._session_id is not None:
-            self.detach()  # workers must not serve a stale session's replicas
-        self._attached_rdl = rdl
-        self._attached_labels = labels
-        self._session_id = new_session_id()
-        self.last_warm_run = None
+        self._begin_session(rdl, labels)
         try:
             self._sync_session(rdl)
         except (WarmSyncError, WorkerLost, SessionRequestFailed):
             self._abort_session()
             raise
         return self._session_id
+
+    def _begin_session(self, rdl, labels) -> None:
+        if self._session_id is not None:
+            self.detach()  # workers must not serve a stale session's replicas
+        self._attached_rdl = rdl
+        self._attached_labels = labels
+        self._session_id = new_session_id()
+        self.last_warm_run = None
 
     def migrate(self, rdl=None) -> int:
         """Converge every session worker with the live universe now
@@ -235,8 +239,8 @@ class ParallelCheckEngine:
 
         The ``CompRDL.check_all(labels, workers=N)`` backend: the
         :meth:`recheck_dirty` round scoped to ``labels``.  On a fresh
-        universe that is a session attach with an empty delta, then one
-        round over every method.  The report covers exactly ``labels``,
+        universe that is one round over every method, whose check requests
+        also attach the session.  The report covers exactly ``labels``,
         verdict-for-verdict identical to ``IncrementalScheduler.check_all``,
         which is also the fallback.  Raises ``KeyError`` for a label that
         names no subject app.
@@ -287,9 +291,18 @@ class ParallelCheckEngine:
         round_span.set("dirty", len(pending))
 
         sync_start = time.perf_counter()
+        attach = None
         try:
             if rdl is not self._attached_rdl or labels != self._attached_labels:
-                self.attach(rdl, labels)
+                if (rdl.db.version == rdl.pristine_generation
+                        and not rdl.post_build_loads):
+                    # a pristine universe has no delta: each worker
+                    # attaches with its first check request instead
+                    self._begin_session(rdl, labels)
+                    self._session_handles()
+                    attach = self._attach_message(rdl)
+                else:
+                    self.attach(rdl, labels)
             else:
                 self._sync_session(rdl)
         except (WarmSyncError, WorkerLost, SessionRequestFailed) as exc:
@@ -310,7 +323,7 @@ class ParallelCheckEngine:
                        key.static)
             for key in pending
         ]
-        workers = self._attached_workers()
+        workers = self._ready_workers(attach)
         shards = plan_shards(
             specs,
             max(1, len(workers)),
@@ -321,7 +334,14 @@ class ParallelCheckEngine:
         )
         plan_s = time.perf_counter() - plan_start
 
-        results, retries = self._run_warm_shards(shards)
+        try:
+            results, retries = self._run_warm_shards(shards, attach)
+        except WarmSyncError as exc:
+            self._abort_session()
+            round_span.set("fallback", True)
+            round_span.__exit__(None, None, None)
+            return self._fallback_serial(
+                scheduler, f"session sync failed: {exc}", serial)
         feed_incremental(scheduler, results, generation=rdl.db.version,
                          producer={"kind": "warm",
                                    "session": self._session_id})
@@ -416,6 +436,21 @@ class ParallelCheckEngine:
         return [handle for handle in self._session_pool.live()
                 if handle.attached] if self._session_pool else []
 
+    def _ready_workers(self, attach: AttachUniverse | None):
+        """The workers a round can dispatch to: the attached ones, or with
+        a pending ``attach`` every live one."""
+        if attach is None:
+            return self._attached_workers()
+        return self._session_pool.live() if self._session_pool else []
+
+    def _attach_message(self, rdl) -> AttachUniverse:
+        return AttachUniverse(
+            session_id=self._session_id,
+            labels=tuple(self._attached_labels),
+            backend=self.backend or rdl.db.backend_name,
+            trace=obs_spans.enabled(),
+        )
+
     def _fallback_serial(self, scheduler, reason: str,
                          serial) -> TypeErrorReport:
         scheduler.stats.bump("warm.fallbacks")
@@ -466,7 +501,6 @@ class ParallelCheckEngine:
         journal = rdl.db.journal
         pristine = rdl.pristine_generation
         loads = list(rdl.post_build_loads)
-        backend = self.backend or rdl.db.backend_name
 
         needs_attach = [
             handle for handle in handles
@@ -474,12 +508,7 @@ class ParallelCheckEngine:
             or handle.synced_generation < journal.oldest_retained
         ]
         sync_span.set("attaches", len(needs_attach))
-        attach = AttachUniverse(
-            session_id=self._session_id,
-            labels=tuple(self._attached_labels),
-            backend=backend,
-            trace=obs_spans.enabled(),
-        )
+        attach = self._attach_message(rdl)
         sent = []
         for handle in needs_attach:
             try:
@@ -493,14 +522,7 @@ class ParallelCheckEngine:
             except WorkerLost:
                 continue
             obs_spans.absorb(ack.spans, ack.counters)
-            if any(gen != pristine for gen in ack.generations.values()):
-                raise WarmSyncError(
-                    f"replica build diverged: worker {handle.index} built "
-                    f"generations {ack.generations}, expected {pristine} — "
-                    f"the universe is not reproducible from its apps")
-            handle.attached = True
-            handle.synced_generation = pristine
-            handle.loads_applied = 0
+            self._note_attached(handle, ack.generations, pristine)
 
         sent = []
         for handle in self._attached_workers():
@@ -538,11 +560,26 @@ class ParallelCheckEngine:
             # respawns the pool and tries again before anyone falls back
             raise WorkerLost("no session workers survived the sync")
 
-    def _run_warm_shards(self, shards: list[Shard]) -> tuple[list[ShardResult], int]:
-        """Fan shards out to attached workers; re-plan lost shards onto
-        survivors.  Missing verdicts (every worker died) are left for the
+    @staticmethod
+    def _note_attached(handle, generations: dict, pristine) -> None:
+        if any(gen != pristine for gen in generations.values()):
+            raise WarmSyncError(
+                f"replica build diverged: worker {handle.index} built "
+                f"generations {generations}, expected {pristine} — "
+                f"the universe is not reproducible from its apps")
+        handle.attached = True
+        handle.synced_generation = pristine
+        handle.loads_applied = 0
+
+    def _run_warm_shards(self, shards: list[Shard],
+                         attach: AttachUniverse | None = None,
+                         ) -> tuple[list[ShardResult], int]:
+        """Fan shards out to the ready workers; re-plan lost shards onto
+        survivors.  With ``attach``, a request to a worker not yet attached
+        carries it.  Missing verdicts (every worker died) are left for the
         caller's in-process resolve backstop."""
-        workers = self._attached_workers()
+        workers = self._ready_workers(attach)
+        pristine = self._attached_rdl.pristine_generation
         results: list[ShardResult] = []
         retries = 0
 
@@ -550,11 +587,13 @@ class ParallelCheckEngine:
             """Send all, then recv all (overlapped); returns lost shards."""
             lost: list[Shard] = []
             in_flight: list[tuple] = []
+            diverged = None
             for handle, shard in assignments:
                 request = CheckRequest(self._session_id, shard.index,
                                        tuple(shard.specs),
                                        trace=obs_spans.enabled(),
-                                       provenance=obs_prov.enabled())
+                                       provenance=obs_prov.enabled(),
+                                       attach=None if handle.attached else attach)
                 try:
                     handle.send(request)
                     in_flight.append((handle, shard))
@@ -565,7 +604,10 @@ class ParallelCheckEngine:
                     lost.append(shard)
             for handle, shard in in_flight:
                 try:
-                    result = handle.recv()
+                    # a request that attaches may build replicas: the cold
+                    # deadline applies, as for an AttachUniverse
+                    result = handle.recv(deadline_s=None if handle.attached
+                                         else self._cold_deadline())
                 except WorkerLost:
                     obs_spans.event("warm.worker_lost",
                                     args={"shard": shard.index,
@@ -578,7 +620,17 @@ class ParallelCheckEngine:
                     lost.append(shard)
                 else:
                     obs_spans.absorb(result.spans, result.counters)
+                    if not handle.attached:
+                        try:
+                            self._note_attached(handle, result.generations,
+                                                pristine)
+                        except WarmSyncError as exc:
+                            diverged = diverged or exc
+                            continue
                     results.append(result)
+            if diverged is not None:
+                # every reply is in: the pipes are clean for the abort
+                raise diverged
             return lost
 
         failed = dispatch(zip(workers, shards))
@@ -586,7 +638,7 @@ class ParallelCheckEngine:
         # between planning and sending — anything unassigned retries below
         failed.extend(shards[len(workers):])
         while failed:
-            survivors = self._attached_workers()
+            survivors = self._ready_workers(attach)
             if not survivors:
                 break  # the caller's in-process resolve backstop completes
             # round-robin the lost shards across every survivor, overlapped

@@ -95,6 +95,8 @@ class ShardResult:
     check_s: float = 0.0      # wall time spent checking (worker-side)
     cpu_s: float = 0.0        # process CPU time for the whole shard
     pid: int = 0
+    #: label -> replica generation, when the request attached the session
+    generations: dict[str, int] = field(default_factory=dict)
     #: worker trace events and ``(name, n)`` counter deltas; () unless tracing
     spans: tuple = ()
     counters: tuple = ()
@@ -178,7 +180,11 @@ class CheckRequest:
     """Check a method slice against a session's live replicas.
 
     The worker resolves each spec's label to that session's replica, runs
-    the ``check_one`` loop and returns a :class:`ShardResult`.
+    the ``check_one`` loop and returns a :class:`ShardResult`.  With
+    ``attach`` set, the worker first attaches the session as that
+    :class:`AttachUniverse` would (a cold round on a pristine universe
+    then costs one round trip, not two), and the result reports the
+    replica generations the engine must verify.
     """
 
     session_id: str
@@ -188,6 +194,7 @@ class CheckRequest:
     #: attribute comp-cache traffic per verdict worker-side (the ``prov``
     #: field on each MethodVerdict); False adds no payload at all
     provenance: bool = False
+    attach: AttachUniverse | None = None
 
 
 @dataclass(frozen=True)

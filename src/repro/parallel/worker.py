@@ -9,7 +9,9 @@ session id.  ``AttachUniverse`` builds live label universes once;
 against them (journal-replay parity: after a delta the replica's generation
 and ``schema_hash()`` equal the engine's); ``CheckRequest`` checks a method
 slice against the warm replicas — no rebuild, which is what makes a
-post-migration ``recheck_dirty`` round cheap at ``workers > 1``.  Verdicts
+post-migration ``recheck_dirty`` round cheap at ``workers > 1``; a
+``CheckRequest`` may carry the session's attach, so a cold round on a
+pristine universe is one round trip.  Verdicts
 ship back together with the dependency footprints the checker recorded, so
 the parent can back-feed its incremental dependency graph.
 
@@ -199,9 +201,13 @@ def _serve(sessions: dict, message):
 
 
 def _attach(sessions: dict, message: AttachUniverse) -> AttachAck:
+    trace_mark = _trace_begin(message)
+    return _trace_end(_attach_replicas(sessions, message), trace_mark)
+
+
+def _attach_replicas(sessions: dict, message: AttachUniverse) -> AttachAck:
     from repro.apps import app_for_label
 
-    trace_mark = _trace_begin(message)
     replicas: dict[str, object] = {}
     ack = AttachAck(session_id=message.session_id, pid=os.getpid())
     with obs_spans.span("session.attach",
@@ -226,7 +232,7 @@ def _attach(sessions: dict, message: AttachUniverse) -> AttachAck:
         # replace atomically: a re-attach (crash recovery, journal gap) must
         # not leave a half-updated session behind a failed build
         sessions[message.session_id] = replicas
-    return _trace_end(ack, trace_mark)
+    return ack
 
 
 def _session_of(sessions: dict, session_id: str) -> dict:
@@ -273,6 +279,11 @@ def _apply_delta(sessions: dict, message: SessionDelta) -> DeltaAck:
 def _check(sessions: dict, message: CheckRequest) -> ShardResult:
     trace_mark = _trace_begin(message)
     result = ShardResult(shard_id=message.shard_id, pid=os.getpid())
+    if message.attach is not None:
+        # the attach is part of this shard's critical path: count its CPU
+        cpu_start = time.process_time()
+        result.generations = _attach_replicas(sessions, message.attach).generations
+        result.cpu_s = time.process_time() - cpu_start
     session = _session_of(sessions, message.session_id)
 
     def resolve(label: str):

@@ -37,6 +37,7 @@ from repro.runtime.objects import (
     RMethod,
     RObject,
     RString,
+    adopt_shared,
     ruby_eq,
     ruby_to_s,
 )
@@ -168,6 +169,10 @@ class RRange:
 class Interp:
     """A mini-Ruby virtual machine instance.
 
+    ``Interp(natives=False)`` holds the core classes without their
+    methods; :func:`repro.runtime.corelib.corelib_table` builds the shared
+    core library from one.
+
     Attributes of note:
 
     * ``registry`` — annotation registry written by ``type``/``var_type``
@@ -179,7 +184,7 @@ class Interp:
       relations) to participate in method dispatch.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, natives: bool = True) -> None:
         # one reusable weakref for the compiled call-site caches (they must
         # not strongly pin this interpreter; see compile.py)
         self.weak_self = weakref.ref(self)
@@ -202,9 +207,13 @@ class Interp:
         self.max_call_depth = 900
         self.frame_stack: list[Frame] = []
         self._bootstrap()
-        from repro.runtime.corelib import install_corelib
+        if natives:
+            # the process-wide core library: this interpreter's own classes,
+            # the same native methods as every other interpreter's
+            from repro.runtime.corelib import corelib_table
 
-        install_corelib(self)
+            adopt_shared((self.define_class(name, superclass), imethods, smethods)
+                         for name, superclass, imethods, smethods in corelib_table())
         self.main = RObject(self.classes["Object"])
         # exact-pytype -> RClass shortcut for class_of (subclasses and the
         # identity-dispatched immediates fall back to the isinstance ladder)

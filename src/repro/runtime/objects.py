@@ -164,7 +164,8 @@ class RClass:
     """
 
     __slots__ = ("name", "superclass", "imethods", "smethods", "consts",
-                 "cvars", "generic_params", "_icache", "_scache", "_epoch")
+                 "cvars", "generic_params", "_icache", "_scache", "_epoch",
+                 "__weakref__")
 
     def __init__(self, name: str, superclass: "RClass | None" = None):
         self.name = name
@@ -244,6 +245,20 @@ class RClass:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RClass({self.name})"
+
+
+def adopt_shared(tables: Iterable[tuple[RClass, dict, dict]]) -> None:
+    """Copy process-shared native methods into ``(class, imethods,
+    smethods)`` tables, with one epoch bump for the whole batch.
+
+    A shared method keeps ``owner`` None: it outlives every universe that
+    adopts it, and ``Interp.invoke`` reads ``owner`` only for user-defined
+    bodies.  Unlike :meth:`RClass.define`, adopting never rebinds it.
+    """
+    for klass, imethods, smethods in tables:
+        klass.imethods.update(imethods)
+        klass.smethods.update(smethods)
+    _METHOD_EPOCH[0] += 1
 
 
 class RObject:

@@ -39,9 +39,10 @@ class MethodKey:
         return f"{self.class_name}{sep}{self.method_name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodAnnotation:
-    """One ``type`` directive's payload."""
+    """One ``type`` directive's payload.  Frozen: the library's entries are
+    built once per process and shared by every universe."""
 
     signature: MethodType
     label: str | None = None
@@ -80,6 +81,19 @@ class AnnotationRegistry:
         # annotation) — the incremental scheduler uses it to dirty verdicts
         # that a ``load`` invalidated without any schema change
         self.method_listeners: list = []
+
+    def adopt(self, base: "AnnotationRegistry") -> None:
+        """Start this fresh registry from ``base``'s annotations.
+
+        The annotations themselves are shared, but every list is this
+        registry's own, so a later ``type``, ``def`` or ``comp_helper``
+        lands here only.  Key order is ``base``'s insertion order.  No
+        listener fires: a universe adopts before anything listens."""
+        self.method_annotations = {key: list(annotations) for key, annotations
+                                   in base.method_annotations.items()}
+        self.annotated_by_name = {name: list(keys) for name, keys
+                                  in base.annotated_by_name.items()}
+        self.helper_methods = set(base.helper_methods)
 
     def add_method_listener(self, listener) -> None:
         if listener not in self.method_listeners:

@@ -218,6 +218,37 @@ def test_check_all_rides_the_universe_engine_without_rebuilds():
         rdl.shutdown_warm()
 
 
+def test_cold_round_on_a_pristine_universe_attaches_with_its_requests(
+        monkeypatch):
+    # no AttachUniverse crosses the pipe: each CheckRequest to a fresh
+    # worker carries the attach, its result reports the replica generation,
+    # and the worker counts as attached afterwards
+    from repro.parallel.sessions import SessionWorkerHandle
+
+    sent = []
+    send = SessionWorkerHandle.send
+    monkeypatch.setattr(SessionWorkerHandle, "send",
+                        lambda handle, message: (sent.append(message),
+                                                 send(handle, message))[1])
+    app = APPS["discourse"]
+    with ParallelCheckEngine(workers=2) as engine:
+        engine.prime([app.label])
+        sent.clear()
+        rdl = app.build()
+        rdl.adopt_warm_engine(engine)
+        report = rdl.check_all(app.label, workers=2)
+        run = engine.last_warm_run
+        assert _serial_key(report) == _serial_key(app.build().check(app.label))
+        assert run.remote and len(run.results) == 2
+        assert all(result.generations == {app.label: rdl.pristine_generation}
+                   for result in run.results)
+        assert [type(message).__name__ for message in sent] == \
+            ["CheckRequest", "CheckRequest"]
+        assert all(message.attach is not None for message in sent)
+        assert len(engine._attached_workers()) == 2
+        rdl.shutdown_warm()
+
+
 def test_duplicate_label_annotations_register_one_method_entry():
     # two annotations under the same label must not double-check the method:
     # serial check_label and the fleet both walk methods_for_label, and

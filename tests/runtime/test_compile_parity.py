@@ -439,11 +439,16 @@ def test_blame_messages_identical_across_modes(monkeypatch):
 def test_discarded_universe_is_collectable_despite_inline_caches():
     """Call-site inline caches live on process-shared (parse-cached) AST
     nodes; they must hold the interpreter AND the resolved methods weakly,
-    or every discarded universe stays pinned through ``method.owner``."""
+    or every discarded universe stays pinned through ``method.owner``.
+    The core-library natives are process-wide and outlive every universe
+    by design, so they carry no ``owner`` and the probes are the
+    universe's own objects."""
     import gc
     import weakref
 
     from repro import CompRDL, Database
+    from repro.annotations.helpers import _NATIVE_METHODS
+    from repro.runtime.corelib import corelib_table
 
     db = Database()
     db.create_table("users", username="string")
@@ -456,13 +461,20 @@ class Greeter
 end
 """)
     assert rdl.run("Greeter.new.hi").val == "hi 1"
-    # the natives land in the int call-site caches during the run
+    # the natives and Greeter#hi land in call-site caches during the run
+    classes = rdl.interp.classes
+    shared = [method for _name, _parent, imethods, smethods in corelib_table()
+              for method in (*imethods.values(), *smethods.values())]
+    shared += _NATIVE_METHODS.values()
+    assert all(method.owner is None for method in shared)
+    assert classes["Integer"].imethods["+"] in shared
     probes = [
         weakref.ref(rdl.interp),
-        weakref.ref(rdl.interp.classes["Integer"].imethods["+"]),
-        weakref.ref(rdl.interp.classes["Integer"].imethods["to_s"]),
+        weakref.ref(classes["Integer"]),
+        weakref.ref(classes["Object"]),
+        weakref.ref(classes["Greeter"].imethods["hi"]),
     ]
-    del rdl, db
+    del rdl, db, classes
     gc.collect()
     for probe in probes:
         assert probe() is None, "discarded universe pinned by inline caches"

@@ -32,16 +32,19 @@ import pytest
 from perfbench import synth
 from repro import CompRDL, Database
 from repro.analysis.footprint import FootprintAnalyzer
+from repro.annotations import LIBRARY, signatures
 from repro.apps import all_apps
 from repro.evaluation.table1 import PAPER_TABLE1, render_table1, table1_rows
 from repro.lang.parser import parse_program
 from repro.parallel import ParallelCheckEngine
 from repro.rtypes import (ConstStringType, NominalType, OptionalArg,
                           SingletonType, parse_type)
+from repro.runtime.corelib import install_corelib
 from repro.runtime.interp import Interp
 from repro.runtime.member_compile import predicate_for
 from repro.runtime.membership import value_has_type
-from repro.runtime.objects import RArray, RHash, RString, Sym
+from repro.runtime.objects import _METHOD_EPOCH, RArray, RHash, RString, Sym
+from repro.typecheck.registry import AnnotationRegistry
 from tests.oracles import ruby_parser
 from tests.oracles.tree_interp import TreeInterp
 
@@ -113,6 +116,33 @@ def test_table1_matches_the_committed_table():
     table: an annotation edit that moves a count must update it."""
     expected = Path(__file__).with_name("table1_expected.txt").read_text()
     assert render_table1() + "\n" == expected
+
+
+def test_universe_construction_reuses_the_library():
+    """A ``CompRDL()`` adopts the process-wide annotation library and core
+    library instead of building them: it costs at most a third of
+    registering every ``LIBRARY`` signature and installing the core
+    library's natives."""
+    def reference():
+        registry = AnnotationRegistry()
+        for _row, class_name, table, static in LIBRARY:
+            for method_name, sig_text in signatures(table):
+                registry.annotate(class_name, method_name, sig_text, static=static)
+        install_corelib(Interp(natives=False))
+
+    CompRDL()  # builds the shared base outside the timed rounds
+    reference_s, universe_s = _cpu(reference, CompRDL, repeats=20)
+    ratio = reference_s / universe_s
+    assert ratio >= 3.0, f"CompRDL() only {ratio:.2f}x cheaper than the library"
+
+
+def test_universe_construction_barely_moves_the_method_epoch():
+    """Each method-epoch bump drops every live universe's lookup and
+    inline caches; adopting the shared natives bumps it once per batch,
+    not once per native."""
+    before = _METHOD_EPOCH[0]
+    CompRDL()
+    assert _METHOD_EPOCH[0] - before <= 100
 
 
 def test_table2_checks_every_app_in_seconds():

@@ -1,7 +1,14 @@
-"""The annotation registry: its label index and its superclass chains."""
+"""The annotation registry: its label index, its superclass chains, and
+the process-wide library that every universe adopts."""
 
-from repro import CompRDL
+import dataclasses
+
+import pytest
+
+from repro import CompRDL, Database
+from repro.annotations import library_registry
 from repro.rtypes import parse_method_type
+from repro.runtime.interp import RaiseSignal
 from repro.typecheck.registry import (AnnotationRegistry, MethodAnnotation,
                                       MethodKey)
 
@@ -72,3 +79,98 @@ def test_the_checker_hierarchy_is_the_vm_class_graph():
     for name, klass in rdl.interp.classes.items():
         if klass.superclass is not None:
             assert hierarchy.le(name, klass.superclass.name), name
+
+
+REOPENS = """
+class Array
+  type :second, "() -> Integer"
+  def second()
+    self[1]
+  end
+end
+type Array, :first, "() -> String"
+type Hash, :probe_size, "() -> Integer"
+class Integer
+  def +(other)
+    42
+  end
+end
+class User
+  type :shout, "() -> String"
+  def shout()
+    "hey"
+  end
+end
+comp_helper :shout
+"""
+
+
+def _universe():
+    db = Database()
+    db.create_table("users", username="string")
+    rdl = CompRDL(db=db)
+    rdl.load("class User < ActiveRecord::Base\nend\n")
+    return rdl
+
+
+def _lengths(registry):
+    return {key: len(annotations) for key, annotations
+            in registry.method_annotations.items()}
+
+
+def _assert_untouched(rdl, expected_lengths):
+    registry = rdl.registry
+    assert _lengths(registry) == expected_lengths
+    assert registry.lookup_method("Array", "second", False, rdl.interp) is None
+    assert registry.lookup_method("Hash", "probe_size", False, rdl.interp) is None
+    assert registry.lookup_method("User", "shout", False, rdl.interp) is None
+    assert "shout" not in registry.helper_methods
+    assert MethodKey("Array", "second") not in registry.defined_methods
+    assert rdl.run("1 + 2") == 3
+    for probe in ("[1, 2].second", "User.new.shout"):
+        with pytest.raises(RaiseSignal, match="undefined method"):
+            rdl.run(probe)
+
+
+def test_reopened_library_classes_stay_in_their_universe():
+    """A universe that reopens ``Array``, annotates ``Array#first`` and
+    ``Hash``, redefines ``Integer#+``, reopens a model class and declares a
+    comp helper changes only itself: its siblings, built before and after
+    it, and the process-wide library base see none of it."""
+    base = library_registry()
+    base_lengths = _lengths(base)
+    base_names = {name: len(keys) for name, keys in base.annotated_by_name.items()}
+    base_helpers = set(base.helper_methods)
+
+    before = _universe()
+    # the library plus the model's column accessors
+    expected_lengths = _lengths(before.registry)
+    assert {key: expected_lengths[key] for key in base_lengths} == base_lengths
+    mutant = _universe()
+    mutant.load(REOPENS)
+    after = _universe()
+
+    first = MethodKey("Array", "first")
+    assert len(mutant.registry.method_annotations[first]) == base_lengths[first] + 1
+    assert mutant.registry.lookup_method("Hash", "probe_size", False) is not None
+    assert "shout" in mutant.registry.helper_methods
+    assert mutant.run("1 + 2") == 42
+    assert mutant.run("[1, 2].second") == 2
+    assert mutant.run("User.new.shout").val == "hey"
+
+    for sibling in (before, after):
+        _assert_untouched(sibling, expected_lengths)
+    assert _lengths(base) == base_lengths
+    assert {name: len(keys) for name, keys
+            in base.annotated_by_name.items()} == base_names
+    assert base.helper_methods == base_helpers
+    # the shared natives stay unbound to any universe
+    assert before.interp.classes["Integer"].imethods["+"].owner is None
+    assert mutant.interp.classes["Integer"].imethods["+"].owner \
+        is mutant.interp.classes["Integer"]
+
+
+def test_library_annotations_are_frozen():
+    annotation = library_registry().method_annotations[MethodKey("Array", "first")][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        annotation.label = "mine"
