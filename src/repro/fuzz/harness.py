@@ -10,10 +10,11 @@ Twins (all built from the same subject app, all fed every event):
 * ``warm`` — memory backend, rechecked through warm session workers
   (``storm``/``faults`` profiles only): the oracle for invariant 3.
 
-The ``faults`` profile additionally arms :mod:`repro.obs.faults` through
-the environment (session workers re-arm themselves on spawn) — a wedged
-``CheckRequest`` reply, an injected storage error mid-journal-replay —
-and SIGKILLs a live session worker at a fixed checkpoint.  The invariants
+The ``faults`` profile additionally sets a :mod:`repro.obs.faults` plan in
+``REPRO_FAULTS`` (each session worker started meanwhile gets it as a start
+argument and arms from it) — a wedged ``CheckRequest`` reply, an injected
+storage error mid-journal-replay — and SIGKILLs a live session worker at
+a fixed checkpoint.  The invariants
 are asserted unchanged: degradation must be invisible in verdicts.
 
 Checkpoints additionally assert membership-backend parity (invariant 5):
@@ -406,6 +407,6 @@ def _fault_env(config: StormConfig) -> str:
 
 def max_wall_bound(config: StormConfig) -> float:
     """The graceful-degradation wall-clock bound for a faults run: every
-    wedge costs at most one deadline per (re)spawned worker, plus generous
+    wedge costs at most one deadline per (re)started worker, plus generous
     slack for attaches and serial fallbacks."""
     return config.deadline_s * 8 + 120.0

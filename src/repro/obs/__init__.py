@@ -70,9 +70,11 @@ __all__ = [
 
 
 def _in_worker_process() -> bool:
-    """Whether this is a spawned child (workers inherit the environment;
-    their records travel back on protocol replies, and an atexit export in
-    each worker would clobber the engine's file)."""
+    """Whether this is a child process started by :mod:`multiprocessing`
+    (its records travel back on protocol replies, and an atexit export in
+    each child would clobber the parent's file).  Session workers never
+    get here: they fork from a template that imported this module with
+    the switches removed from its environment."""
     import multiprocessing
     return multiprocessing.parent_process() is not None
 

@@ -21,10 +21,12 @@ fires ``db.replay.event`` before applying each journal event.  A
 
 ``after`` lets that many arrivals pass before firing and ``times`` bounds
 how often it fires (0 = unlimited) — both counted *per process*, which
-matters for spawn-mode workers: a respawned worker starts its counts over.
-Workers inherit the environment, not the parent's cells, so specs
-round-trip through ``REPRO_FAULTS`` (:func:`set_env` / :func:`load_env`);
-``repro.parallel.worker.session_main`` re-arms from it on startup.
+matters for session workers: a respawned worker starts its counts over.
+Workers share neither the parent's cells nor its current environment (they
+fork from a forkserver started earlier), so specs travel as one
+``REPRO_FAULTS`` plan string (:func:`env_string` / :func:`arm`): a worker
+handle passes the parent's current ``REPRO_FAULTS`` value as a start
+argument, and ``repro.parallel.worker.session_main`` arms from it.
 
 Every firing bumps a ``faults.fired.<site>`` counter, which
 ``metrics_snapshot()`` surfaces under its ``faults.*`` keys.
@@ -142,7 +144,7 @@ def fire(site: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# environment round-trip (spawn-mode workers inherit env, not cells)
+# plan strings: the REPRO_FAULTS value a worker is started with
 # ---------------------------------------------------------------------------
 
 def env_string() -> str:
@@ -151,7 +153,8 @@ def env_string() -> str:
 
 
 def set_env(environ=None) -> None:
-    """Publish the armed specs so spawn children can re-arm themselves."""
+    """Publish the armed specs as ``REPRO_FAULTS``, for the session
+    workers started after this call."""
     environ = os.environ if environ is None else environ
     value = env_string()
     if value:
@@ -162,12 +165,17 @@ def set_env(environ=None) -> None:
 
 def load_env(environ=None) -> bool:
     """Arm this process from ``REPRO_FAULTS``; returns whether anything
-    was armed.  Malformed tokens are ignored (a fuzz run must not be
-    wedged by its own plumbing)."""
+    was armed."""
     environ = os.environ if environ is None else environ
-    value = environ.get(_ENV_VAR, "")
+    return arm(environ.get(_ENV_VAR, ""))
+
+
+def arm(plan: str) -> bool:
+    """Arm this process from a ``REPRO_FAULTS`` plan string; returns
+    whether anything was armed.  Malformed tokens are ignored (a fuzz run
+    must not be wedged by its own plumbing)."""
     armed = False
-    for token in value.split(";"):
+    for token in plan.split(";"):
         token = token.strip()
         if not token:
             continue

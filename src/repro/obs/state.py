@@ -51,8 +51,8 @@ def env_switch(var: str) -> tuple[bool, str | None]:
     """Parse an on/off/path environment switch (``REPRO_TRACE``,
     ``REPRO_PROVENANCE``): whether it asks for recording, and the export
     path it names, if any (a value that is not a plain on/off token is a
-    path).  Workers re-check these: spawn children inherit the environment,
-    not the parent's flags."""
+    path).  Read once, when :mod:`repro.obs` is imported; a session worker
+    takes its flags from each request instead."""
     value = os.environ.get(var, "")
     token = value.lower()
     if token in _ENV_OFF:

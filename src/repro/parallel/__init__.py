@@ -1,7 +1,8 @@
 """Parallel checking: session workers → verdict-parity back-feed.
 
-A :class:`ParallelCheckEngine` keeps a pool of spawn-mode session workers
-(:mod:`repro.parallel.sessions`) that attach replicas of a live universe's
+A :class:`ParallelCheckEngine` keeps a pool of session workers, forked from
+a preloaded template (:mod:`repro.parallel.sessions`,
+:mod:`repro.parallel.template`), that attach replicas of a live universe's
 subject app once, then receive schema-journal deltas and post-build load
 records (:class:`SessionDelta`) instead of rebuilding.  Each round
 partitions one label's pending methods into cost-balanced shards

@@ -1,14 +1,14 @@
 """The parallel checking fleet: pool management and orchestration.
 
-:class:`ParallelCheckEngine` keeps one pool of spawn-mode session workers
-(:mod:`repro.parallel.sessions`) warm between rounds and checks a *live*
-universe on it.  Session workers keep replicas of the universe's subject
-app, receive schema-journal deltas plus post-build load records, and check
-only the pending methods; the report is verdict-for-verdict identical to the
-serial incremental path.  ``CompRDL.check_all(label, workers=N)`` is
-:meth:`ParallelCheckEngine.check` — a cold check of a pristine universe
-attaches each worker with its first check request, one round trip — and
-``CompRDL.recheck_dirty(workers=N)`` is
+:class:`ParallelCheckEngine` keeps one pool of session workers, forked
+from a preloaded template (:mod:`repro.parallel.sessions`), warm between
+rounds and checks a *live* universe on it.  Session workers keep replicas
+of the universe's subject app, receive schema-journal deltas plus
+post-build load records, and check only the pending methods; the report is
+verdict-for-verdict identical to the serial incremental path.
+``CompRDL.check_all(label, workers=N)`` is :meth:`ParallelCheckEngine.check`
+— a cold check of a pristine universe attaches each worker with its first
+check request, one round trip — and ``CompRDL.recheck_dirty(workers=N)`` is
 :meth:`~ParallelCheckEngine.recheck_dirty`.  Several apps are several such
 rounds, one per app.  :meth:`~ParallelCheckEngine.prime` prebuilds pristine
 replicas in every worker, so a later attach adopts them instead of
@@ -27,6 +27,7 @@ import time
 # perfbench/ledger.py wraps ProcessPoolExecutor, merge_report, feed_incremental
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
+from repro.db.backends import default_backend_name
 from repro.incremental.stats import IncrementalStats
 from repro.obs import provenance as obs_prov
 from repro.obs import spans as obs_spans
@@ -96,9 +97,10 @@ class ParallelCheckEngine:
         # re-planned around instead of blocking the engine forever
         self.deadline_s = deadline_s
         # storage backend name for every replica the workers build (None →
-        # the attached universe's backend, or for prime() the
-        # REPRO_DB_BACKEND environment default, which spawn children
-        # inherit); the name travels in each request, never a connection
+        # the attached universe's backend, or for prime() this process's
+        # REPRO_DB_BACKEND default); each request carries the resolved
+        # name, never a connection, and never None: a worker's environment
+        # is the forkserver's, not this process's current one
         self.backend = backend
         self.stats = stats or IncrementalStats()
         # warm session state: a pool of stateful session workers plus the
@@ -119,7 +121,8 @@ class ParallelCheckEngine:
         the set-up wall time."""
         start = time.perf_counter()
         labels = _normalize_labels(labels)
-        prebuild = AttachUniverse(None, tuple(labels), backend=self.backend)
+        backend = self.backend or default_backend_name()
+        prebuild = AttachUniverse(None, tuple(labels), backend=backend)
         sent = []
         for handle in self._session_handles():
             try:
@@ -135,7 +138,7 @@ class ParallelCheckEngine:
         return time.perf_counter() - start
 
     def _session_handles(self):
-        """The shared session-worker pool (spawned on first use): the
+        """The shared session-worker pool (started on first use): the
         processes prime() prebuilds in are the ones sessions attach to."""
         if self._session_pool is None:
             self._session_pool = SessionPool(

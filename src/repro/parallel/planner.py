@@ -9,9 +9,9 @@ sites are where comp types evaluate (rule C-App-Comp), so a body's
 ``MethodCall`` node count is the best static proxy for its checking cost.
 
 A shard only pays off when it saves more checking than its worker spends
-getting a replica: ``build_cost`` is that price.  Session rounds over live
+getting ready: ``build_cost`` is that price.  Session rounds over live
 replicas pass 0 (every split pays); sizing a fresh pool uses
-:data:`DEFAULT_BUILD_COST`, the price of a worker's first replica build.
+:data:`DEFAULT_BUILD_COST`, the price of a fresh worker's first round.
 
 Planning is deterministic: all orderings derive from the caller's spec
 order, with explicit tie-breaks, so the same inputs always produce the same
@@ -26,7 +26,11 @@ from repro.lang import ast_nodes as ast
 from repro.obs.spans import traced
 from repro.parallel.protocol import MethodSpec
 
-#: the price in seconds of a fresh worker's replica build
+#: the price in seconds of a fresh worker's first round beyond its share of
+#: checking.  A worker forked from the template builds one app's replica in
+#: 6-15 ms, but then checks on cold caches: priced at 0.01 s, a transient
+#: check_all(workers=2) split discourse and codeorg in two and got slower
+#: (discourse 93 -> 155 ms), so the price stays at 0.05 s
 DEFAULT_BUILD_COST = 0.05
 #: fallback per-method base checking cost in seconds
 BASE_METHOD_COST = 0.0004

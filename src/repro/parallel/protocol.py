@@ -1,6 +1,6 @@
 """Picklable messages exchanged between the planner and worker processes.
 
-Workers run in spawn-mode child processes, so everything crossing the
+Workers are separate processes, so everything crossing the
 boundary must round-trip through pickle *and* reconstruct faithfully:
 errors travel as plain ``(kind, message, line, method)`` tuples rather than
 exception instances because :class:`StaticTypeError`'s constructor formats

@@ -1,12 +1,20 @@
 """Engine-side management of warm session workers.
 
-One :class:`SessionWorkerHandle` wraps one spawn-mode child process running
+One :class:`SessionWorkerHandle` wraps one worker process running
 :func:`repro.parallel.worker.session_main` over a private duplex pipe, plus
 the engine's bookkeeping about what that worker has seen: whether it holds
 the session's replicas, which schema generation it is synced to, and how
 many post-build load records it has applied.  :class:`SessionPool` owns a
 fixed-size fleet of handles and respawns dead ones (a respawned worker is
 blank — ``attached`` is false, so the engine cold-attaches it before use).
+
+Every worker forks from one process-wide forkserver (:func:`pool_context`)
+whose template, :mod:`repro.parallel.template`, has already imported the
+package and built the library base, so a worker is ready in milliseconds.
+A worker inherits the *server's* environment, frozen when the server
+started, never the parent's current one: whatever a worker must take from
+the parent rides on its start arguments (the fault plan) or on each request
+(tracing, provenance, the storage backend).
 
 Crash semantics: every request is a send + recv on the handle's pipe; if
 the child died, either call raises and the handle is marked dead —
@@ -27,15 +35,73 @@ path as a crash.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import forkserver
 
+import repro
 from repro.obs.spans import bump
 from repro.parallel import worker as worker_mod
 from repro.parallel.protocol import SessionError, ShardResult, Shutdown
+
+#: the forkserver's preload, imported once in the server before any fork
+_TEMPLATE_MODULE = "repro.parallel.template"
+#: switches a worker takes from the parent per start or per request; the
+#: server starts without them
+_PARENT_ONLY_ENV = ("REPRO_TRACE", "REPRO_PROVENANCE", "REPRO_FAULTS")
+_SERVER_LOCK = threading.Lock()
+
+
+def pool_context():
+    """The forkserver context every :class:`SessionPool` starts workers
+    from, with its server running.
+
+    Started here rather than on the first fork because CPython's forkserver
+    ignores the parent's ``sys.path`` and skips a preload that fails to
+    import without a word: the server starts with this package's root
+    prefixed to ``PYTHONPATH``, so the template loads even when ``repro``
+    is importable only through ``sys.path`` (pytest, perfbench).  It also
+    starts without the parent-only switches: a server that imported
+    ``repro.obs`` under ``REPRO_TRACE=<path>`` would export over the
+    parent's trace file at exit.  ``os.environ`` is restored either way.
+    """
+    ctx = multiprocessing.get_context("forkserver")
+    with _SERVER_LOCK:
+        ctx.set_forkserver_preload([_TEMPLATE_MODULE])
+        saved = {name: os.environ.get(name)
+                 for name in ("PYTHONPATH", *_PARENT_ONLY_ENV)}
+        root = os.path.dirname(os.path.dirname(repro.__file__))
+        try:
+            os.environ["PYTHONPATH"] = os.pathsep.join(
+                path for path in (root, saved["PYTHONPATH"]) if path)
+            for name in _PARENT_ONLY_ENV:
+                os.environ.pop(name, None)
+            forkserver.ensure_running()  # a no-op while the server lives
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+    return ctx
+
+
+def _stop_server() -> None:
+    """At exit, stop the forkserver and reap it, so that it does not
+    outlive this process.  Only once no worker is left: every worker holds
+    the server open, and a live one is ended later, by multiprocessing's
+    own exit handler."""
+    if not multiprocessing.active_children():
+        forkserver._forkserver._stop()
+
+
+atexit.register(_stop_server)
+
 
 _SESSION_COUNTER = itertools.count(1)
 
@@ -87,8 +153,12 @@ class SessionWorkerHandle:
         self.deadline_s = deadline_s
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
+        # the fault plan as the parent has it now: the worker inherits the
+        # server's environment, not this one
         self.process = ctx.Process(
-            target=worker_mod.session_main, args=(child_conn,), daemon=True)
+            target=worker_mod.session_main,
+            args=(child_conn, os.environ.get("REPRO_FAULTS", "")),
+            daemon=True)
         self.process.start()
         child_conn.close()
         self.alive = True
@@ -205,7 +275,7 @@ class SessionPool:
     def __init__(self, size: int, deadline_s: float | None = None):
         self.size = max(1, size)
         self.deadline_s = deadline_s
-        self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = pool_context()
         self.workers: list[SessionWorkerHandle] = []
         self._next_index = 0  # never reused, so diagnostics stay unambiguous
 

@@ -1,7 +1,9 @@
 """The worker side of the parallel checking protocol.
 
-Runs inside a spawn-mode child process (every function here must be
-importable from a fresh interpreter — no closures, no inherited state).
+Runs inside a worker forked from the session forkserver's template
+(:mod:`repro.parallel.template`), which imported this module and built the
+library base; the worker takes nothing else from the server's state, and
+nothing from the parent's but its start arguments and its requests.
 
 :func:`session_main` is a stateful dispatch loop over a pipe, keyed by
 session id.  ``AttachUniverse`` builds live label universes once;
@@ -29,7 +31,7 @@ from repro.incremental.versioning import SchemaEvent
 from repro.obs import faults as obs_faults
 from repro.obs import provenance as obs_prov
 from repro.obs import spans as obs_spans
-from repro.obs.state import COUNTERS, env_switch
+from repro.obs.state import COUNTERS
 
 _FAULTS_ON = obs_faults.ENABLED  # cached cell: zero-cost guard when off
 from repro.parallel.protocol import (
@@ -53,20 +55,17 @@ def _trace_begin(message) -> tuple | None:
     span-buffer mark to drain from plus a copy of the counters, or ``None``
     when tracing is off.
 
-    Workers are spawned, so they inherit the *environment* but not the
-    parent's flag — each request re-derives the state from its ``trace``
-    field (the engine stamps it with its own flag) or ``REPRO_TRACE``.
-    The mark keeps a call in the caller's own process from draining spans
-    the caller recorded before this request.
+    A worker has neither the parent's flags nor its environment, so each
+    request sets the state from its ``trace`` field (the engine stamps it
+    with its own flag).  The mark keeps a call in the caller's own process
+    from draining spans the caller recorded before this request.
 
-    The provenance flag is re-derived the same way (``provenance`` field /
-    ``REPRO_PROVENANCE``), so per-verdict attribution in
-    :func:`check_specs_into` follows each request.
+    The provenance flag follows the ``provenance`` field the same way, so
+    per-verdict attribution in :func:`check_specs_into` follows each
+    request.
     """
-    obs_spans.set_enabled(bool(getattr(message, "trace", False))
-                          or env_switch("REPRO_TRACE")[0])
-    obs_prov.set_enabled(bool(getattr(message, "provenance", False))
-                         or env_switch("REPRO_PROVENANCE")[0])
+    obs_spans.set_enabled(bool(getattr(message, "trace", False)))
+    obs_prov.set_enabled(bool(getattr(message, "provenance", False)))
     if not obs_spans.enabled():
         return None
     return obs_spans.mark(), dict(COUNTERS)
@@ -147,19 +146,19 @@ def _catalog_build(label: str, backend: str | None):
 # session service: a stateful dispatch loop keyed by session id
 # ---------------------------------------------------------------------------
 
-def session_main(conn) -> None:
+def session_main(conn, faults: str) -> None:
     """Serve session messages over ``conn`` until shutdown or EOF.
 
-    The spawn entry point for warm workers.  All state — the live label
-    universes, keyed by session id — lives in this loop's locals; a reply
-    is sent for every request (``SessionError`` on failure, so one bad
-    request never wedges the engine), and the loop only exits on
+    The entry point of a session worker.  ``faults`` is the parent's
+    ``REPRO_FAULTS`` plan when it started this worker (fuzz harness, error
+    path tests): the only source this process arms faults from.  All state
+    — the live label universes, keyed by session id — lives in this loop's
+    locals; a reply is sent for every request (``SessionError`` on failure,
+    so one bad request never wedges the engine), and the loop only exits on
     :class:`Shutdown`, a closed pipe, or a dead parent.
     """
     sessions: dict[str, dict[str, object]] = {}
-    # spawn children inherit env, not the parent's cells: re-arm any
-    # injected faults published through REPRO_FAULTS (fuzz harness)
-    obs_faults.load_env()
+    obs_faults.arm(faults)
     while True:
         try:
             message = conn.recv()

@@ -89,7 +89,7 @@ class RType:
     def __getstate__(self):
         # Non-interned pickling path: scrub the cached hash and fingerprint.
         # `_hash` depends on PYTHONHASHSEED, so a value cached in one
-        # process is wrong in a spawn-mode worker (equal types with unequal
+        # process is wrong in another process (equal types with unequal
         # hashes corrupt any hash container); `_fp` indexes this process's
         # fingerprint table.  Both recompute lazily on first use.
         state: dict[str, object] = {}

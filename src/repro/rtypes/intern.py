@@ -101,7 +101,7 @@ def _union_order_key(member: RType) -> tuple[str, str]:
 
     Derived purely from structure (class name + rendered syntax), never from
     ids or fingerprints, so memory and sqlite universes — and parent vs
-    spawn-mode workers — all agree on the order arms are probed in.
+    worker processes — all agree on the order arms are probed in.
     """
     return (member.__class__.__name__, member.to_s())
 

@@ -1,13 +1,12 @@
 """The fault-injection layer, and the failure paths it exists to pin.
 
 Unit tests cover the :mod:`repro.obs.faults` spec/arming machinery
-in-process; the spawn tests inject real faults into live session workers
+in-process; the fleet tests inject real faults into live session workers
 and assert the engine degrades the way the robustness contract promises —
 deadline instead of hang, poison instead of divergence, serial fallback
 instead of a wrong verdict.
 """
 
-import multiprocessing
 import sqlite3
 import time
 
@@ -130,7 +129,7 @@ def test_partial_delta_poisons_session():
 
 
 # ---------------------------------------------------------------------------
-# spawn tests: injected faults against live session workers
+# fleet tests: injected faults against live session workers
 # ---------------------------------------------------------------------------
 
 
@@ -140,11 +139,14 @@ def test_injected_wedge_hits_recv_deadline(monkeypatch):
     recv deadline instead of blocking forever (the pre-deadline behaviour
     was an unbounded ``Connection.recv``)."""
     from repro.parallel.protocol import AttachUniverse
-    from repro.parallel.sessions import SessionWorkerHandle, WorkerWedged
+    from repro.parallel.sessions import (
+        SessionWorkerHandle,
+        WorkerWedged,
+        pool_context,
+    )
 
     monkeypatch.setenv("REPRO_FAULTS", "worker.AttachUniverse=wedge:30:0:1")
-    ctx = multiprocessing.get_context("spawn")
-    handle = SessionWorkerHandle(ctx, 0, deadline_s=1.0)
+    handle = SessionWorkerHandle(pool_context(), 0, deadline_s=1.0)
     try:
         handle.send(AttachUniverse(session_id="s", labels=()))
         start = time.monotonic()

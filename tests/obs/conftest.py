@@ -7,12 +7,7 @@ from repro.obs import provenance
 
 
 @pytest.fixture(autouse=True)
-def _obs_isolation(monkeypatch):
-    # a REPRO_TRACE / REPRO_PROVENANCE in the environment would re-enable
-    # the layers in spawned workers (and in _trace_begin) underneath the
-    # disabled-mode tests
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_PROVENANCE", raising=False)
+def _obs_isolation():
     was_enabled = obs.enabled()
     prov_enabled = provenance.enabled()
     obs.reset()

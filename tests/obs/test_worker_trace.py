@@ -6,7 +6,10 @@ timeline and one counter registry.  With tracing off, the protocol messages
 carry nothing — the empty defaults, no span or counter attributes.
 """
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,7 +71,7 @@ def test_protocol_messages_default_to_untraced():
 
 
 # ---------------------------------------------------------------------------
-# real fleet round-trips (spawned worker processes)
+# real fleet round-trips (forked worker processes)
 # ---------------------------------------------------------------------------
 
 def test_fleet_check_collects_spans_from_distinct_worker_pids():
@@ -120,6 +123,31 @@ def test_fleet_check_disabled_emits_zero_events():
     assert obs.events() == []
     assert obs.buffered() == 0
     assert obs.counters() == {}
+
+
+@pytest.mark.slow
+def test_trace_export_path_belongs_to_the_parent(tmp_path):
+    """Under ``REPRO_TRACE=<path>`` only the process that set it exports:
+    the session forkserver starts without the switch, so its exit cannot
+    overwrite the parent's file.  Capturing output makes ``run`` wait for
+    the server too, which holds the child's stdout until it exits."""
+    path = tmp_path / "t.json"
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))), "src")
+    env["REPRO_TRACE"] = str(path)
+    code = ("from repro.apps import app_for_label\n"
+            f"app_for_label({LABEL!r}).build().check_all({LABEL!r}, "
+            "workers=2)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    names = {event["name"]
+             for event in json.loads(path.read_text())["traceEvents"]}
+    assert "fleet.round" in names
 
 
 # ---------------------------------------------------------------------------

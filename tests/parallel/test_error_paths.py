@@ -8,9 +8,12 @@ a journal gap is a :class:`ReplayError`, and losing *every* worker
 degrades a warm round to the serial path with identical verdicts.
 """
 
-import multiprocessing
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -22,6 +25,7 @@ from repro.parallel.sessions import (
     SessionWorkerHandle,
     WorkerLost,
     WorkerWedged,
+    pool_context,
 )
 
 pytestmark = pytest.mark.slow
@@ -29,8 +33,7 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture()
 def handle():
-    ctx = multiprocessing.get_context("spawn")
-    worker = SessionWorkerHandle(ctx, 0, deadline_s=30.0)
+    worker = SessionWorkerHandle(pool_context(), 0, deadline_s=30.0)
     yield worker
     worker.close()
 
@@ -94,7 +97,7 @@ def test_replay_detects_journal_gap():
 
 
 def test_all_workers_dead_falls_back_to_serial(monkeypatch):
-    # every spawned session worker dies on attach (times=0: unlimited);
+    # every session worker dies on attach (times=0: unlimited);
     # the sync retry loop exhausts its respawn budget and the round must
     # degrade to the serial path — same verdicts, no hang, no exception
     monkeypatch.setenv("REPRO_FAULTS", "worker.AttachUniverse=die::0:0")
@@ -117,7 +120,7 @@ def test_all_workers_dead_falls_back_to_serial(monkeypatch):
 
 
 def test_cold_round_reruns_lost_shards_in_process(monkeypatch):
-    # every spawned worker dies on its first CheckRequest: a cold
+    # every worker dies on its first CheckRequest: a cold
     # check_all(workers=2) loses every shard to a dead worker, the
     # in-process resolve backstop checks them, and each app's report still
     # matches its serial check, in order
@@ -137,3 +140,51 @@ def test_cold_round_reruns_lost_shards_in_process(monkeypatch):
         # a real dispatch to session workers, none of which answered
         assert run.remote and run.methods == len(serial.checked_methods)
         assert run.results == []
+
+
+_FAULTED_THEN_CLEAN = textwrap.dedent("""
+    import json, os
+    from repro.apps import app_for_label
+    from repro.parallel import ParallelCheckEngine
+
+    app = app_for_label("huginn")
+    runs = []
+    for plan in ("worker.CheckRequest=die::0:0", None):
+        if plan is None:
+            del os.environ["REPRO_FAULTS"]
+        else:
+            os.environ["REPRO_FAULTS"] = plan
+        with ParallelCheckEngine(workers=2) as engine:
+            rdl = app.build()
+            rdl.adopt_warm_engine(engine)
+            rdl.check_all(app.label, workers=2)
+            run = engine.last_warm_run
+            runs.append({
+                "remote": run.remote,
+                "methods": run.methods,
+                "verdicts": sum(len(r.verdicts) for r in run.results),
+            })
+            rdl.shutdown_warm()
+    print(json.dumps(runs))
+""")
+
+
+def test_fault_plan_stays_with_the_workers_it_was_set_for(tmp_path):
+    # a fresh process, so the forkserver starts while the plan is set:
+    # workers fork from that server, and only their start arguments may
+    # decide what they arm
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "src")
+    env["PYTHONPATH"] = src
+    done = subprocess.run([sys.executable, "-c", _FAULTED_THEN_CLEAN],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faulted, clean = json.loads(done.stdout.strip().splitlines()[-1])
+    # the faulted fleet dispatched and lost every shard
+    assert faulted["remote"] and faulted["verdicts"] == 0
+    # the clean fleet fired nothing: every method came back from a worker
+    assert clean["remote"]
+    assert clean["verdicts"] == clean["methods"] > 0

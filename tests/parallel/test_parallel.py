@@ -1,7 +1,7 @@
 """Integration tests: fleet checking, verdict-parity merge, incremental
 back-feed.  The merge tests drive the worker checking loop in-process (it
 is a plain function over freshly built universes); the rest exercise real
-spawn workers end to end.
+forked workers end to end.
 """
 
 import multiprocessing
@@ -88,7 +88,7 @@ def test_merge_refuses_missing_verdicts():
 
 
 # ---------------------------------------------------------------------------
-# real spawn workers end to end
+# real forked workers end to end
 # ---------------------------------------------------------------------------
 
 def test_check_all_with_workers_matches_serial_and_feeds_incremental():

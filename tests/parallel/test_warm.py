@@ -259,7 +259,7 @@ def test_multi_label_universes_are_blocked_before_any_build():
     with ParallelCheckEngine(workers=2) as engine:
         reason = engine.warm_block_reason(object(), ["discourse", "huginn"])
         assert reason is not None and "multi-label" in reason
-        assert engine._session_pool is None  # nothing was spawned
+        assert engine._session_pool is None  # nothing was started
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_pickle_of_mutable_types_stays_structural():
 
 def test_pickle_never_ships_cached_hashes_or_fingerprints():
     """`_hash` is PYTHONHASHSEED-dependent and `_fp` indexes this process's
-    fingerprint table: a cached value shipped to a spawn-mode worker would
+    fingerprint table: a cached value shipped to a worker process would
     make equal types hash unequal there (two entries for one dict key)."""
     t = MethodType([TupleType([NominalType("Integer")])], None,
                    NominalType("String"))

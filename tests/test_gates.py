@@ -426,7 +426,7 @@ def test_warm_rounds_beat_the_cold_fleet():
     seeded = unseeded = 0.0
     bare_fleet = ParallelCheckEngine(workers=WORKERS, backend=GATE_BACKEND)
     with bare_fleet, _gc_paused():
-        bare_fleet.prime([])  # spawn the workers, build nothing
+        bare_fleet.prime([])  # start the workers, build nothing
         for app, table in _apps_with_tables():
             gc.collect()  # between apps, outside the measured rounds
             with ParallelCheckEngine(workers=WORKERS,
