@@ -96,8 +96,8 @@ class CompRDL:
         # (adopt_warm_engine): shutdown_warm then detaches instead of
         # closing — the owner's other universes must keep working
         self._warm_engine_adopted = False
-        # per-recv reply deadline for warm session workers (None → the
-        # process default, sessions.DEADLINE_S); set before the first
+        # per-recv reply deadline for warm session workers (None →
+        # sessions.DEADLINE_S, 120 s); set before the first
         # recheck_dirty(workers=N) call — the fuzzer's fault profile uses a
         # tight deadline so a wedged worker is detected within the round
         self.warm_deadline_s: float | None = None

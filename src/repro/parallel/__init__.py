@@ -2,16 +2,16 @@
 
 A :class:`ParallelCheckEngine` keeps a pool of session workers, forked from
 a preloaded template (:mod:`repro.parallel.sessions`,
-:mod:`repro.parallel.template`), that attach replicas of a live universe's
-subject app once, then receive schema-journal deltas and post-build load
-records (:class:`SessionDelta`) instead of rebuilding.  Each round
-partitions one label's pending methods into cost-balanced shards
-(:mod:`repro.parallel.planner`), checks each shard on a worker
-(:mod:`repro.parallel.worker`) and adopts the picklable verdicts and their
-dependency footprints back into the universe's incremental engine
-(:mod:`repro.parallel.merge`), so the report is verdict-for-verdict
-identical to a serial run.  Every worker speaks one protocol
-(:mod:`repro.parallel.protocol`).
+:mod:`repro.parallel.template`), that hold replicas of a live universe's
+subject app between rounds.  Each round partitions one label's pending
+methods into cost-balanced shards (:mod:`repro.parallel.planner`) and sends
+each worker one :class:`CheckRequest` (:mod:`repro.parallel.worker`): the
+session's attach when the worker holds no replicas, the schema-journal
+events and post-build load records it has not applied, and its shard.  The
+engine adopts the picklable verdicts and their dependency footprints back
+into the universe's incremental engine (:mod:`repro.parallel.merge`), so
+the report is verdict-for-verdict identical to a serial run.  Every worker
+speaks one protocol (:mod:`repro.parallel.protocol`).
 
 ``CompRDL.check_all(label, workers=N)`` and ``CompRDL.recheck_dirty(
 workers=N)`` are both such rounds — a cold check is an attach with an empty
@@ -34,11 +34,9 @@ from repro.parallel.protocol import (
     AttachAck,
     AttachUniverse,
     CheckRequest,
-    DeltaAck,
     DetachSession,
     MethodSpec,
     MethodVerdict,
-    SessionDelta,
     SessionError,
     ShardResult,
     Shutdown,
@@ -54,12 +52,10 @@ __all__ = [
     "AttachAck",
     "AttachUniverse",
     "CheckRequest",
-    "DeltaAck",
     "DetachSession",
     "MethodSpec",
     "MethodVerdict",
     "ParallelCheckEngine",
-    "SessionDelta",
     "SessionError",
     "SessionPool",
     "SessionRequestFailed",

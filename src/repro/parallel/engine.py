@@ -3,12 +3,14 @@
 :class:`ParallelCheckEngine` keeps one pool of session workers, forked
 from a preloaded template (:mod:`repro.parallel.sessions`), warm between
 rounds and checks a *live* universe on it.  Session workers keep replicas
-of the universe's subject app, receive schema-journal deltas plus
-post-build load records, and check only the pending methods; the report is
-verdict-for-verdict identical to the serial incremental path.
+of the universe's subject app and check only the pending methods; the
+report is verdict-for-verdict identical to the serial incremental path.
+A round sends each worker one :class:`CheckRequest` carrying what that
+worker lacks of the universe — the session's attach when it holds no
+replicas, then the journal events and post-build load records it has not
+applied — and checks its shard on the caught-up replicas.
 ``CompRDL.check_all(label, workers=N)`` is :meth:`ParallelCheckEngine.check`
-— a cold check of a pristine universe attaches each worker with its first
-check request, one round trip — and ``CompRDL.recheck_dirty(workers=N)`` is
+and ``CompRDL.recheck_dirty(workers=N)`` is
 :meth:`~ParallelCheckEngine.recheck_dirty`.  Several apps are several such
 rounds, one per app.  :meth:`~ParallelCheckEngine.prime` prebuilds pristine
 replicas in every worker, so a later attach adopts them instead of
@@ -18,7 +20,7 @@ A universe whose ``replay_blocker`` is set (a post-build method
 *re*definition — a redefined type-level helper can change any verdict,
 which no dependency footprint bounds — among others), that spans several
 labels, or whose journal has forgotten the needed events, falls back to the
-serial incremental path.
+serial incremental path; so does a round whose replicas diverge from it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.parallel.protocol import (
     CheckRequest,
     DetachSession,
     MethodSpec,
-    SessionDelta,
     ShardResult,
 )
 from repro.parallel.sessions import (
@@ -51,15 +52,9 @@ from repro.parallel.sessions import (
 )
 from repro.typecheck.errors import TypeErrorReport
 
-#: session-sync retry budget: a lost/failed sync drops the pool (stale
-#: pipes cannot be resynchronized) and cold-reattaches a fresh one after
-#: an exponential backoff
-SYNC_ATTEMPTS = 3
-SYNC_BACKOFF_S = 0.05
-
 
 class WarmSyncError(RuntimeError):
-    """A warm session could not be converged with the live universe."""
+    """A worker's replicas diverged from the live universe."""
 
 
 def specs_for_labels(labels, registry) -> list[MethodSpec]:
@@ -92,8 +87,8 @@ class ParallelCheckEngine:
                  backend: str | None = None,
                  deadline_s: float | None = None):
         self.workers = max(1, workers)
-        # per-recv reply deadline for session workers (None → the process
-        # default in sessions.DEADLINE_S); a wedged worker is killed and
+        # per-recv reply deadline for session workers (None →
+        # sessions.DEADLINE_S, 120 s); a wedged worker is killed and
         # re-planned around instead of blocking the engine forever
         self.deadline_s = deadline_s
         # storage backend name for every replica the workers build (None →
@@ -138,8 +133,9 @@ class ParallelCheckEngine:
         return time.perf_counter() - start
 
     def _session_handles(self):
-        """The shared session-worker pool (started on first use): the
-        processes prime() prebuilds in are the ones sessions attach to."""
+        """The shared session-worker pool at full strength (started on
+        first use, dead workers respawned blank): the processes prime()
+        prebuilds in are the ones sessions attach to."""
         if self._session_pool is None:
             self._session_pool = SessionPool(
                 self.workers, deadline_s=self.deadline_s)
@@ -147,11 +143,16 @@ class ParallelCheckEngine:
 
     def _cold_deadline(self) -> float:
         # cold work (full app builds) legitimately takes seconds: use the
-        # generous process default even when the engine runs with a tight
+        # generous module default even when the engine runs with a tight
         # per-request deadline
-        return max(DEADLINE_S[0], self.deadline_s or 0.0)
+        return max(DEADLINE_S, self.deadline_s or 0.0)
 
     def close(self) -> None:
+        """Discard the session AND the worker pool.
+
+        Also the reset after a diverged round: a replica that diverged
+        from the universe must never serve it again, and the next round
+        respawns the pool, whose check requests attach afresh."""
         if self._session_pool is not None:
             self._session_pool.close()
             self._session_pool = None
@@ -166,31 +167,8 @@ class ParallelCheckEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    # warm sessions: attach / migrate / recheck_dirty
+    # warm rounds: check / recheck_dirty
     # ------------------------------------------------------------------
-    def attach(self, rdl, labels=None) -> str:
-        """Attach a live universe to warm session workers.
-
-        Each session worker builds pristine replicas of every label's
-        subject app once (the cold step) and keeps them alive; afterwards
-        :meth:`migrate` ships journal deltas instead of rebuilds and
-        :meth:`recheck_dirty` checks only dirty methods remotely.  Raises
-        ``ValueError`` when the universe cannot be warm-replicated (see
-        :meth:`warm_block_reason`); returns the session id.
-        """
-        labels = (_normalize_labels(labels) if labels is not None
-                  else list(rdl.incremental.labels))
-        reason = self.warm_block_reason(rdl, labels)
-        if reason is not None:
-            raise ValueError(f"cannot attach a warm session: {reason}")
-        self._begin_session(rdl, labels)
-        try:
-            self._sync_session(rdl)
-        except (WarmSyncError, WorkerLost, SessionRequestFailed):
-            self._abort_session()
-            raise
-        return self._session_id
-
     def _begin_session(self, rdl, labels) -> None:
         if self._session_id is not None:
             self.detach()  # workers must not serve a stale session's replicas
@@ -199,37 +177,24 @@ class ParallelCheckEngine:
         self._session_id = new_session_id()
         self.last_warm_run = None
 
-    def migrate(self, rdl=None) -> int:
-        """Converge every session worker with the live universe now
-        (journal events + post-build load records).  Returns the synced
-        generation.  Implicitly called by :meth:`recheck_dirty`; exposed
-        for callers that want to overlap delta replay with other work."""
-        rdl = self._require_attached(rdl)
-        try:
-            self._sync_session(rdl)
-        except (WarmSyncError, WorkerLost, SessionRequestFailed):
-            self._abort_session()
-            raise
-        return rdl.db.version
-
     def recheck_dirty(self, rdl=None) -> TypeErrorReport:
         """Re-verify the universe's dirty methods across warm workers.
 
         The warm counterpart of ``IncrementalScheduler.recheck_dirty``:
         dirty / never-checked methods are sharded across session workers
-        (after a delta sync), their verdicts and dependency footprints are
-        adopted back into the scheduler, and the returned report covers
-        every previously-checked label — verdict-for-verdict identical to
-        the serial incremental path.  Falls back to that serial path
-        whenever the delta cannot be bounded or the session cannot be
-        converged; a worker death mid-round re-plans the lost shard onto
-        surviving workers, so the round always completes.
+        (each request catching its worker up with the universe first),
+        their verdicts and dependency footprints are adopted back into the
+        scheduler, and the returned report covers every previously-checked
+        label — verdict-for-verdict identical to the serial incremental
+        path.  Falls back to that serial path whenever the delta cannot be
+        bounded or a replica diverges; a worker death mid-round re-plans
+        the lost shard onto surviving workers, so the round always
+        completes.  ``rdl`` defaults to the universe the last round ran.
         """
         if rdl is None:
             rdl = self._attached_rdl
         if rdl is None:
-            raise ValueError("no universe attached: call attach(rdl) first "
-                             "or pass rdl=")
+            raise ValueError("no universe attached: pass rdl=")
         scheduler = rdl.incremental
         # follow the scheduler's label list (it may have grown since
         # attach): the warm report must cover exactly what the serial
@@ -274,10 +239,11 @@ class ParallelCheckEngine:
         return self._round(rdl, labels, lambda: scheduler.check_all(labels))
 
     def _round(self, rdl, labels, serial) -> TypeErrorReport:
-        """One warm round over ``labels``: sync the session, shard the
-        pending methods, adopt their verdicts and resolve the report in
-        serial order.  ``serial`` is the in-process equivalent, run instead
-        whenever the delta cannot be bounded."""
+        """One warm round over ``labels``: shard the pending methods, send
+        each worker one check request that also carries its catch-up with
+        the universe, adopt the verdicts and resolve the report in serial
+        order.  ``serial`` is the in-process equivalent, run instead
+        whenever the delta cannot be bounded or a replica diverges."""
         scheduler = rdl.incremental
         reason = self.warm_block_reason(rdl, labels)
         if reason is not None:
@@ -290,83 +256,72 @@ class ParallelCheckEngine:
             self.last_warm_run = WarmRun(methods=0, remote=False)
             return scheduler.resolve(serial_keys)
         round_span = obs_spans.span("warm.round", label=",".join(labels))
-        round_span.__enter__()
-        round_span.set("dirty", len(pending))
+        with round_span:
+            round_span.set("dirty", len(pending))
 
-        sync_start = time.perf_counter()
-        attach = None
-        try:
-            if rdl is not self._attached_rdl or labels != self._attached_labels:
-                if (rdl.db.version == rdl.pristine_generation
-                        and not rdl.post_build_loads):
-                    # a pristine universe has no delta: each worker
-                    # attaches with its first check request instead
-                    self._begin_session(rdl, labels)
-                    self._session_handles()
-                    attach = self._attach_message(rdl)
-                else:
-                    self.attach(rdl, labels)
-            else:
-                self._sync_session(rdl)
-        except (WarmSyncError, WorkerLost, SessionRequestFailed) as exc:
-            self._abort_session()
-            round_span.set("fallback", True)
-            round_span.__exit__(None, None, None)
-            return self._fallback_serial(
-                scheduler, f"session sync failed: {exc}", serial)
-        sync_s = time.perf_counter() - sync_start
+            sync_start = time.perf_counter()
+            if (rdl is not self._attached_rdl
+                    or labels != self._attached_labels):
+                self._begin_session(rdl, labels)
+            with obs_spans.span("session.sync",
+                                label=self._session_id) as sync_span:
+                workers = self._session_handles()
+                catch_ups = {handle: self._catch_up(handle, rdl)
+                             for handle in workers}
+                sync_span.set("attaches", sum(
+                    up["attach"] is not None for up in catch_ups.values()))
+            sync_s = time.perf_counter() - sync_start
 
-        plan_start = time.perf_counter()
-        label_of: dict = {}
-        for label in labels:
-            for key in rdl.registry.methods_for_label(label):
-                label_of.setdefault(key, label)
-        specs = [
-            MethodSpec(label_of[key], key.class_name, key.method_name,
-                       key.static)
-            for key in pending
-        ]
-        workers = self._ready_workers(attach)
-        shards = plan_shards(
-            specs,
-            max(1, len(workers)),
-            registry=rdl.registry,
-            stats=scheduler.stats,
-            # replicas are already alive: splitting costs nothing
-            build_cost=0.0,
-        )
-        plan_s = time.perf_counter() - plan_start
+            plan_start = time.perf_counter()
+            label_of: dict = {}
+            for label in labels:
+                for key in rdl.registry.methods_for_label(label):
+                    label_of.setdefault(key, label)
+            specs = [
+                MethodSpec(label_of[key], key.class_name, key.method_name,
+                           key.static)
+                for key in pending
+            ]
+            shards = plan_shards(
+                specs,
+                len(workers),
+                registry=rdl.registry,
+                stats=scheduler.stats,
+                # replicas are alive or attach with the request: splitting
+                # costs nothing
+                build_cost=0.0,
+            )
+            plan_s = time.perf_counter() - plan_start
 
-        try:
-            results, retries = self._run_warm_shards(shards, attach)
-        except WarmSyncError as exc:
-            self._abort_session()
-            round_span.set("fallback", True)
-            round_span.__exit__(None, None, None)
-            return self._fallback_serial(
-                scheduler, f"session sync failed: {exc}", serial)
-        feed_incremental(scheduler, results, generation=rdl.db.version,
-                         producer={"kind": "warm",
-                                   "session": self._session_id})
-        scheduler.stats.parallel_rounds += 1
-        # resolve() assembles the report in serial order from the adopted
-        # verdicts — and is the completeness backstop: anything a lost
-        # worker never returned is checked in-process right here
-        report = scheduler.resolve(serial_keys)
-        self.last_warm_run = WarmRun(
-            methods=len(pending),
-            remote=True,
-            results=results,
-            wall_s=time.perf_counter() - round_start,
-            plan_s=plan_s,
-            sync_s=sync_s,
-            retries=retries,
-            session_id=self._session_id,
-        )
-        round_span.set("shards", len(shards))
-        round_span.set("retries", retries)
-        round_span.__exit__(None, None, None)
-        return report
+            try:
+                results, retries = self._run_warm_shards(
+                    rdl, shards, workers, catch_ups)
+            except WarmSyncError as exc:
+                self.close()
+                round_span.set("fallback", True)
+                return self._fallback_serial(
+                    scheduler, f"session sync failed: {exc}", serial)
+            feed_incremental(scheduler, results, generation=rdl.db.version,
+                             producer={"kind": "warm",
+                                       "session": self._session_id})
+            scheduler.stats.parallel_rounds += 1
+            # resolve() assembles the report in serial order from the
+            # adopted verdicts — and is the completeness backstop: anything
+            # a lost worker never returned is checked in-process right here
+            report = scheduler.resolve(serial_keys)
+            self.last_warm_run = WarmRun(
+                methods=len(pending),
+                remote=True,
+                results=results,
+                wall_s=time.perf_counter() - round_start,
+                plan_s=plan_s,
+                sync_s=sync_s,
+                retries=retries,
+                session_id=self._session_id,
+            )
+            round_span.set("shards", len(shards))
+            round_span.set("retries", retries)
+            return report
 
     def detach(self) -> None:
         """Drop the attached session (workers stay up for re-attachment)."""
@@ -379,21 +334,6 @@ class ParallelCheckEngine:
                 except (WorkerLost, SessionRequestFailed):
                     pass
                 handle.attached = False
-        self._attached_rdl = None
-        self._attached_labels = []
-        self._session_id = None
-
-    def _abort_session(self) -> None:
-        """Discard the session AND the worker pool.
-
-        After a failed sync some pipes may hold unread replies, and a
-        plain request/reply transport cannot resynchronize them — a stale
-        reply would be mistaken for the next request's answer.  Dropping
-        the pool is the only safe reset; the next warm round respawns and
-        cold-attaches."""
-        if self._session_pool is not None:
-            self._session_pool.close()
-            self._session_pool = None
         self._attached_rdl = None
         self._attached_labels = []
         self._session_id = None
@@ -426,33 +366,29 @@ class ParallelCheckEngine:
                     "generation (too many migrations)")
         return None
 
-    def _require_attached(self, rdl):
-        if rdl is None:
-            rdl = self._attached_rdl
-        if rdl is None:
-            raise ValueError("no universe attached: call attach(rdl) first")
-        if rdl is not self._attached_rdl:
-            self.attach(rdl)
-        return rdl
-
-    def _attached_workers(self):
-        return [handle for handle in self._session_pool.live()
-                if handle.attached] if self._session_pool else []
-
-    def _ready_workers(self, attach: AttachUniverse | None):
-        """The workers a round can dispatch to: the attached ones, or with
-        a pending ``attach`` every live one."""
-        if attach is None:
-            return self._attached_workers()
-        return self._session_pool.live() if self._session_pool else []
-
-    def _attach_message(self, rdl) -> AttachUniverse:
-        return AttachUniverse(
-            session_id=self._session_id,
-            labels=tuple(self._attached_labels),
-            backend=self.backend or rdl.db.backend_name,
-            trace=obs_spans.enabled(),
-        )
+    def _catch_up(self, handle, rdl) -> dict:
+        """The :class:`CheckRequest` fields that bring ``handle``'s worker
+        level with ``rdl``: the session's attach when the worker holds no
+        replicas (fresh, respawned, poisoned) or is synced to a generation
+        the journal has forgotten, then the journal events and load
+        records it has not applied."""
+        journal = rdl.db.journal
+        attach = None
+        synced, applied = handle.synced_generation, handle.loads_applied
+        if not handle.attached or synced < journal.oldest_retained:
+            attach = AttachUniverse(
+                session_id=self._session_id,
+                labels=tuple(self._attached_labels),
+                backend=self.backend or rdl.db.backend_name,
+                trace=obs_spans.enabled(),
+            )
+            synced, applied = rdl.pristine_generation, 0
+        return {
+            "attach": attach,
+            "events": tuple(event.to_wire()
+                            for event in journal.events_since(synced)),
+            "loads": tuple(rdl.post_build_loads[applied:]),
+        }
 
     def _fallback_serial(self, scheduler, reason: str,
                          serial) -> TypeErrorReport:
@@ -461,156 +397,64 @@ class ParallelCheckEngine:
         self.last_warm_run = WarmRun(remote=False, fallback_reason=reason)
         return serial()
 
-    def _sync_session(self, rdl) -> None:
-        """Bring every session worker to the universe's current state.
-
-        Blank or stale workers (freshly spawned, respawned after a crash,
-        or synced to a generation the bounded journal has forgotten) get a
-        cold attach — pristine rebuild — then everyone receives the journal
-        delta and unshipped load records.  Broadcasts overlap: all sends go
-        out before any ack is awaited.
-        """
-        if self._session_id is None:
-            raise WarmSyncError("no session attached")
-        sync_span = obs_spans.span("session.sync", label=self._session_id)
-        with sync_span:
-            backoff = SYNC_BACKOFF_S
-            for attempt in range(SYNC_ATTEMPTS):
-                if self._session_pool is None:
-                    self._session_pool = SessionPool(
-                        self.workers, deadline_s=self.deadline_s)
-                try:
-                    self._sync_session_inner(rdl, sync_span)
-                    return
-                except (WorkerLost, SessionRequestFailed):
-                    # a failed sync leaves pipes with unread or missing
-                    # replies that a request/reply transport cannot
-                    # resynchronize: drop the whole pool and cold-reattach
-                    # a fresh one after an exponential backoff.  (A
-                    # WarmSyncError divergence is deterministic — retrying
-                    # would rebuild the same divergent replica — so it
-                    # propagates immediately.)
-                    self._session_pool.close()
-                    self._session_pool = None
-                    if attempt == SYNC_ATTEMPTS - 1:
-                        raise
-                    obs_spans.bump("sessions.reattach_retries")
-                    sync_span.set("reattach_retries", attempt + 1)
-                    time.sleep(backoff)
-                    backoff *= 2
-
-    def _sync_session_inner(self, rdl, sync_span) -> None:
-        handles = self._session_pool.ensure()
-        journal = rdl.db.journal
-        pristine = rdl.pristine_generation
-        loads = list(rdl.post_build_loads)
-
-        needs_attach = [
-            handle for handle in handles
-            if not handle.attached
-            or handle.synced_generation < journal.oldest_retained
-        ]
-        sync_span.set("attaches", len(needs_attach))
-        attach = self._attach_message(rdl)
-        sent = []
-        for handle in needs_attach:
-            try:
-                handle.send(attach)
-                sent.append(handle)
-            except WorkerLost:
-                continue
-        for handle in sent:
-            try:
-                ack = handle.recv(deadline_s=self._cold_deadline())
-            except WorkerLost:
-                continue
-            obs_spans.absorb(ack.spans, ack.counters)
-            self._note_attached(handle, ack.generations, pristine)
-
-        sent = []
-        for handle in self._attached_workers():
-            events = journal.events_since(handle.synced_generation)
-            new_loads = loads[handle.loads_applied:]
-            if not events and not new_loads:
-                continue
-            delta = SessionDelta(
-                session_id=self._session_id,
-                events=tuple(event.to_wire() for event in events),
-                loads=tuple(new_loads),
-                trace=obs_spans.enabled(),
-            )
-            try:
-                handle.send(delta)
-                sent.append(handle)
-            except WorkerLost:
-                continue
-        for handle in sent:
-            try:
-                ack = handle.recv()
-            except WorkerLost:
-                continue
-            obs_spans.absorb(ack.spans, ack.counters)
-            if any(gen != rdl.db.version for gen in ack.generations.values()):
-                raise WarmSyncError(
-                    f"delta replay diverged on worker {handle.index}: "
-                    f"replicas at {ack.generations}, universe at "
-                    f"{rdl.db.version}")
-            handle.synced_generation = rdl.db.version
-            handle.loads_applied = len(loads)
-
-        if not self._attached_workers():
-            # WorkerLost (not WarmSyncError) so _sync_session's retry loop
-            # respawns the pool and tries again before anyone falls back
-            raise WorkerLost("no session workers survived the sync")
-
     @staticmethod
-    def _note_attached(handle, generations: dict, pristine) -> None:
-        if any(gen != pristine for gen in generations.values()):
+    def _note_synced(handle, request: CheckRequest, result: ShardResult,
+                     rdl) -> None:
+        """Assert a reply's replicas match the universe, then record the
+        worker as level with it."""
+        pristine = rdl.pristine_generation
+        if request.attach is not None and any(
+                gen != pristine for gen in result.built.values()):
             raise WarmSyncError(
                 f"replica build diverged: worker {handle.index} built "
-                f"generations {generations}, expected {pristine} — "
+                f"generations {result.built}, expected {pristine} — "
                 f"the universe is not reproducible from its apps")
+        if any(gen != rdl.db.version for gen in result.generations.values()):
+            raise WarmSyncError(
+                f"delta replay diverged on worker {handle.index}: "
+                f"replicas at {result.generations}, universe at "
+                f"{rdl.db.version}")
         handle.attached = True
-        handle.synced_generation = pristine
-        handle.loads_applied = 0
+        handle.synced_generation = rdl.db.version
+        handle.loads_applied = len(rdl.post_build_loads)
 
-    def _run_warm_shards(self, shards: list[Shard],
-                         attach: AttachUniverse | None = None,
-                         ) -> tuple[list[ShardResult], int]:
-        """Fan shards out to the ready workers; re-plan lost shards onto
-        survivors.  With ``attach``, a request to a worker not yet attached
-        carries it.  Missing verdicts (every worker died) are left for the
+    def _run_warm_shards(self, rdl, shards: list[Shard], workers,
+                         catch_ups: dict) -> tuple[list[ShardResult], int]:
+        """Fan shards out to ``workers``, each request carrying its worker's
+        catch-up (``catch_ups``, by handle); re-plan lost shards onto
+        survivors.  Missing verdicts (every worker died) are left for the
         caller's in-process resolve backstop."""
-        workers = self._ready_workers(attach)
-        pristine = self._attached_rdl.pristine_generation
         results: list[ShardResult] = []
         retries = 0
 
-        def dispatch(assignments) -> list[Shard]:
+        def dispatch(assignments, catch_ups) -> list[Shard]:
             """Send all, then recv all (overlapped); returns lost shards."""
             lost: list[Shard] = []
             in_flight: list[tuple] = []
             diverged = None
             for handle, shard in assignments:
+                # a handle given several shards catches up on the first
+                catch_up = catch_ups.pop(handle, {})
                 request = CheckRequest(self._session_id, shard.index,
                                        tuple(shard.specs),
                                        trace=obs_spans.enabled(),
                                        provenance=obs_prov.enabled(),
-                                       attach=None if handle.attached else attach)
+                                       **catch_up)
                 try:
                     handle.send(request)
-                    in_flight.append((handle, shard))
+                    in_flight.append((handle, shard, request))
                 except WorkerLost:
                     obs_spans.event("warm.worker_lost",
                                     args={"shard": shard.index,
                                           "during": "send"})
                     lost.append(shard)
-            for handle, shard in in_flight:
+            for handle, shard, request in in_flight:
                 try:
                     # a request that attaches may build replicas: the cold
-                    # deadline applies, as for an AttachUniverse
-                    result = handle.recv(deadline_s=None if handle.attached
-                                         else self._cold_deadline())
+                    # deadline applies, as for prime()'s AttachUniverse
+                    result = handle.recv(deadline_s=(
+                        self._cold_deadline() if request.attach is not None
+                        else None))
                 except WorkerLost:
                     obs_spans.event("warm.worker_lost",
                                     args={"shard": shard.index,
@@ -623,32 +467,28 @@ class ParallelCheckEngine:
                     lost.append(shard)
                 else:
                     obs_spans.absorb(result.spans, result.counters)
-                    if not handle.attached:
-                        try:
-                            self._note_attached(handle, result.generations,
-                                                pristine)
-                        except WarmSyncError as exc:
-                            diverged = diverged or exc
-                            continue
+                    try:
+                        self._note_synced(handle, request, result, rdl)
+                    except WarmSyncError as exc:
+                        diverged = diverged or exc
+                        continue
                     results.append(result)
             if diverged is not None:
                 # every reply is in: the pipes are clean for the abort
                 raise diverged
             return lost
 
-        failed = dispatch(zip(workers, shards))
-        # plan_shards caps shards at the worker count, but workers can die
-        # between planning and sending — anything unassigned retries below
-        failed.extend(shards[len(workers):])
+        failed = dispatch(zip(workers, shards), catch_ups)
         while failed:
-            survivors = self._ready_workers(attach)
+            survivors = [handle for handle in workers if handle.alive]
             if not survivors:
                 break  # the caller's in-process resolve backstop completes
             # round-robin the lost shards across every survivor, overlapped
             obs_spans.event("warm.replan", args={"shards": len(failed)})
             still_failed = dispatch(
-                (survivors[i % len(survivors)], shard)
-                for i, shard in enumerate(failed)
+                ((survivors[i % len(survivors)], shard)
+                 for i, shard in enumerate(failed)),
+                {handle: self._catch_up(handle, rdl) for handle in survivors},
             )
             retries += len(failed) - len(still_failed)
             if len(still_failed) == len(failed):
@@ -657,4 +497,3 @@ class ParallelCheckEngine:
         if retries:
             self.stats.bump("warm.retries", retries)
         return results, retries
-

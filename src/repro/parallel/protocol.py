@@ -7,15 +7,17 @@ exception instances because :class:`StaticTypeError`'s constructor formats
 its arguments (re-pickling the instance would re-format an already-formatted
 message and lose the structured ``line``/``method`` fields).
 
-One session vocabulary (:class:`AttachUniverse` / :class:`SessionDelta` /
-:class:`CheckRequest` …) serves every off-process check.  Workers keep live
-label universes between rounds, receive schema-journal deltas and
-post-build load records instead of rebuilding, and re-check only dirty
-methods.  Messages are routed to a *specific* worker process (state lives
-there), so they carry a ``session_id`` and the worker side is a dispatch
-loop (:func:`repro.parallel.worker.session_main`).  The one message that
-names no session is ``AttachUniverse(None, …)``: it prebuilds pristine
-replicas into the worker's catalog for later attaches to adopt.
+One session vocabulary (:class:`AttachUniverse` / :class:`CheckRequest` /
+:class:`DetachSession`) serves every off-process check.  Workers keep live
+label universes between rounds and re-check only dirty methods; each
+:class:`CheckRequest` carries whatever its worker lacks of the live
+universe — the attach, the schema-journal events and the post-build load
+records it has not seen — so a round is one message per worker.  Messages
+are routed to a *specific* worker process (state lives there), so they
+carry a ``session_id`` and the worker side is a dispatch loop
+(:func:`repro.parallel.worker.session_main`).  The one message that names
+no session is ``AttachUniverse(None, …)``: it prebuilds pristine replicas
+into the worker's catalog for later attaches to adopt.
 
 Schema deltas travel as :meth:`SchemaEvent.to_wire` tuples — the stable
 encoding shared with any future socket transport.
@@ -95,8 +97,11 @@ class ShardResult:
     check_s: float = 0.0      # wall time spent checking (worker-side)
     cpu_s: float = 0.0        # process CPU time for the whole shard
     pid: int = 0
-    #: label -> replica generation, when the request attached the session
+    #: label -> replica generation after the request's catch-up
     generations: dict[str, int] = field(default_factory=dict)
+    #: label -> generation each replica was built at, when the request
+    #: attached the session
+    built: dict[str, int] = field(default_factory=dict)
     #: worker trace events and ``(name, n)`` counter deltas; () unless tracing
     spans: tuple = ()
     counters: tuple = ()
@@ -112,11 +117,13 @@ class AttachUniverse:
 
     The session lifecycle's cold step: each label's subject app is built
     from scratch (or adopted from the worker's pristine replica catalog),
-    and the universes then *stay alive* in the worker while subsequent
-    :class:`SessionDelta` messages keep them converged with the engine's
-    universe.  Re-attaching an existing session id replaces its replicas
-    (crash recovery / journal gaps fall back to this).  A ``None`` session
-    id prebuilds the labels into the catalog and attaches nothing (fleet
+    and the universes then *stay alive* in the worker while the journal
+    events and load records on later :class:`CheckRequest` messages keep
+    them converged with the engine's universe.  A session attach rides
+    on a :class:`CheckRequest` (its ``attach`` field); re-attaching an
+    existing session id replaces its replicas (crash recovery / journal
+    gaps fall back to this).  A ``None`` session id, sent on its own,
+    prebuilds the labels into the catalog and attaches nothing (fleet
     priming).
 
     ``backend`` names the storage backend the worker builds against
@@ -144,47 +151,21 @@ class AttachAck:
 
 
 @dataclass(frozen=True)
-class SessionDelta:
-    """Converge a session's live replicas with the engine's universe.
-
-    ``events`` are :meth:`SchemaEvent.to_wire` tuples (the journal delta
-    since the worker's last synced generation), replayed against every
-    replica's live ``Database``; ``loads`` are post-pristine program
-    sources (method definition records), re-executed against every
-    replica's interpreter/registry.  After a successful delta the
-    replica's generation equals the engine universe's — which the ack
-    reports and the engine asserts.
-    """
-
-    session_id: str
-    events: tuple[tuple, ...] = ()
-    loads: tuple[str, ...] = ()
-    trace: bool = False
-
-
-@dataclass
-class DeltaAck:
-    """Delta reply: post-replay generations, for parity verification."""
-
-    session_id: str
-    generations: dict[str, int] = field(default_factory=dict)  # label -> gen
-    events_applied: int = 0
-    loads_applied: int = 0
-    pid: int = 0
-    spans: tuple = ()
-    counters: tuple = ()
-
-
-@dataclass(frozen=True)
 class CheckRequest:
-    """Check a method slice against a session's live replicas.
+    """Bring a worker level with the engine's universe, then check a
+    method slice against the session's live replicas.
 
-    The worker resolves each spec's label to that session's replica, runs
-    the ``check_one`` loop and returns a :class:`ShardResult`.  With
-    ``attach`` set, the worker first attaches the session as that
-    :class:`AttachUniverse` would (a cold round on a pristine universe
-    then costs one round trip, not two), and the result reports the
-    replica generations the engine must verify.
+    The catch-up comes first, in order: with ``attach`` set the worker
+    attaches the session as that :class:`AttachUniverse` would (the
+    result's ``built`` reports the generations it built); ``events`` (the
+    journal delta since the worker's synced generation, as
+    :meth:`SchemaEvent.to_wire` tuples) are replayed against every
+    replica's live ``Database``; ``loads`` (post-pristine program
+    sources) are re-executed against every replica.  A failed replay
+    poisons the session.  Then the worker resolves each spec's label to
+    that session's replica, runs the ``check_one`` loop and returns a
+    :class:`ShardResult` whose ``generations`` the engine asserts equal
+    its universe's.
     """
 
     session_id: str
@@ -195,6 +176,8 @@ class CheckRequest:
     #: field on each MethodVerdict); False adds no payload at all
     provenance: bool = False
     attach: AttachUniverse | None = None
+    events: tuple[tuple, ...] = ()
+    loads: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -218,9 +201,10 @@ class Shutdown:
 class SessionError:
     """A request failed worker-side; the loop keeps serving.
 
-    The engine decides what the failure means: a replay divergence bounds
-    the delta (cold re-attach / serial fallback), an unknown session id
-    means the worker restarted, anything else is a bug surfaced verbatim.
+    The engine re-plans the request's shard either way and re-attaches
+    the worker on its next request: a failed replay poisoned the session,
+    an unknown session id means the worker restarted, anything else is a
+    bug surfaced verbatim.
     """
 
     session_id: str

@@ -4,9 +4,10 @@ One :class:`SessionWorkerHandle` wraps one worker process running
 :func:`repro.parallel.worker.session_main` over a private duplex pipe, plus
 the engine's bookkeeping about what that worker has seen: whether it holds
 the session's replicas, which schema generation it is synced to, and how
-many post-build load records it has applied.  :class:`SessionPool` owns a
-fixed-size fleet of handles and respawns dead ones (a respawned worker is
-blank — ``attached`` is false, so the engine cold-attaches it before use).
+many post-build load records it has applied — what its next check request
+must carry to catch up.  :class:`SessionPool` owns a fixed-size fleet of
+handles and respawns dead ones (a respawned worker is blank — ``attached``
+is false, so its next check request carries the session's attach).
 
 Every worker forks from one process-wide forkserver (:func:`pool_context`)
 whose template, :mod:`repro.parallel.template`, has already imported the
@@ -21,16 +22,15 @@ the child died, either call raises and the handle is marked dead —
 :class:`WorkerLost` — letting the engine re-plan the affected shard onto
 surviving workers instead of losing the round.  A worker-side failure that
 is *not* a crash comes back as a ``SessionError`` reply and is raised as
-:class:`SessionRequestFailed`, which the engine treats as "this delta
-cannot be bounded" (fall back / re-attach), never as a dead process.
+:class:`SessionRequestFailed`: the engine re-plans the shard and
+re-attaches the worker on its next request, but never counts it dead.
 
 A third failure mode is the worker that is alive but never replies — a
 wedged pipe would otherwise block ``recv()`` forever.  Every recv carries
-a deadline (per-handle default, overridable per call, process default in
-the ``DEADLINE_S`` cell / ``REPRO_SESSION_DEADLINE_S`` env); on expiry the
-worker is killed — its reply stream can no longer be trusted — and
-:class:`WorkerWedged` (a ``WorkerLost``) routes into the same shard-retry
-path as a crash.
+a deadline (per-handle default, overridable per call, otherwise
+``DEADLINE_S``, 120 s); on expiry the worker is killed — its reply stream
+can no longer be trusted — and :class:`WorkerWedged` (a ``WorkerLost``)
+routes into the same shard-retry path as a crash.
 """
 
 from __future__ import annotations
@@ -106,16 +106,9 @@ atexit.register(_stop_server)
 _SESSION_COUNTER = itertools.count(1)
 
 
-def _default_deadline() -> float:
-    try:
-        return float(os.environ.get("REPRO_SESSION_DEADLINE_S", "") or 120.0)
-    except ValueError:
-        return 120.0
-
-
-#: process-wide default recv deadline in seconds (cell so tests can patch
-#: it without re-importing); ``<= 0`` disables the deadline entirely
-DEADLINE_S: list[float] = [_default_deadline()]
+#: default recv deadline in seconds, for a handle and an engine that set
+#: none of their own
+DEADLINE_S = 120.0
 
 
 def new_session_id() -> str:
@@ -148,8 +141,8 @@ class SessionWorkerHandle:
 
     def __init__(self, ctx, index: int, deadline_s: float | None = None):
         self.index = index
-        #: default recv deadline for this handle (None: use the process
-        #: default cell at call time; <= 0 disables)
+        #: default recv deadline for this handle (None: the module's
+        #: DEADLINE_S; <= 0 disables)
         self.deadline_s = deadline_s
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
@@ -193,7 +186,7 @@ class SessionWorkerHandle:
         """Receive one reply, bounded by a deadline.
 
         ``deadline_s`` overrides the handle default (which overrides the
-        process-wide ``DEADLINE_S`` cell); ``<= 0`` waits forever.  On
+        module's ``DEADLINE_S``); ``<= 0`` waits forever.  On
         expiry the worker is killed — once a reply is late the stream can
         never be resynchronized — and :class:`WorkerWedged` is raised.
         """
@@ -202,7 +195,7 @@ class SessionWorkerHandle:
         if deadline_s is None:
             deadline_s = self.deadline_s
         if deadline_s is None:
-            deadline_s = DEADLINE_S[0]
+            deadline_s = DEADLINE_S
         try:
             if deadline_s > 0 and not self._poll(deadline_s):
                 self._wedged(deadline_s)
@@ -281,7 +274,7 @@ class SessionPool:
 
     def ensure(self) -> list[SessionWorkerHandle]:
         """The pool at full strength: dead handles replaced by blank ones
-        (``attached`` false — the caller must cold-attach them)."""
+        (``attached`` false — their next request must attach them)."""
         self.workers = [h for h in self.workers if h.alive]
         while len(self.workers) < self.size:
             self.workers.append(
@@ -312,7 +305,8 @@ class WarmRun:
     results: list[ShardResult] = field(default_factory=list)
     wall_s: float = 0.0
     plan_s: float = 0.0
-    sync_s: float = 0.0              # delta broadcast (events + loads)
+    sync_s: float = 0.0              # engine side before dispatch: pool
+                                     # start and the catch-up payloads
     retries: int = 0                 # shards re-planned after a worker loss
     #: the session the round ran under (None: serial fallback / no-op) —
     #: the same id provenance records as the verdicts' producer session

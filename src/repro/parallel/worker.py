@@ -6,14 +6,13 @@ library base; the worker takes nothing else from the server's state, and
 nothing from the parent's but its start arguments and its requests.
 
 :func:`session_main` is a stateful dispatch loop over a pipe, keyed by
-session id.  ``AttachUniverse`` builds live label universes once;
-``SessionDelta`` replays schema-journal events and post-build load records
-against them (journal-replay parity: after a delta the replica's generation
-and ``schema_hash()`` equal the engine's); ``CheckRequest`` checks a method
-slice against the warm replicas — no rebuild, which is what makes a
-post-migration ``recheck_dirty`` round cheap at ``workers > 1``; a
-``CheckRequest`` may carry the session's attach, so a cold round on a
-pristine universe is one round trip.  Verdicts
+session id.  A ``CheckRequest`` first applies the catch-up it carries: the
+session's attach (live label universes built once), then schema-journal
+events and post-build load records replayed against them (journal-replay
+parity: afterwards the replica's generation and ``schema_hash()`` equal the
+engine's).  Then it checks a method slice against the warm replicas — no
+rebuild, which is what makes a post-migration ``recheck_dirty`` round cheap
+at ``workers > 1`` — so every round is one round trip per worker.  Verdicts
 ship back together with the dependency footprints the checker recorded, so
 the parent can back-feed its incremental dependency graph.
 
@@ -38,11 +37,9 @@ from repro.parallel.protocol import (
     AttachAck,
     AttachUniverse,
     CheckRequest,
-    DeltaAck,
     DetachAck,
     DetachSession,
     MethodVerdict,
-    SessionDelta,
     SessionError,
     ShardResult,
     Shutdown,
@@ -189,8 +186,6 @@ def session_main(conn, faults: str) -> None:
 def _serve(sessions: dict, message):
     if isinstance(message, AttachUniverse):
         return _attach(sessions, message)
-    if isinstance(message, SessionDelta):
-        return _apply_delta(sessions, message)
     if isinstance(message, CheckRequest):
         return _check(sessions, message)
     if isinstance(message, DetachSession):
@@ -242,48 +237,42 @@ def _session_of(sessions: dict, session_id: str) -> dict:
     return session
 
 
-def _apply_delta(sessions: dict, message: SessionDelta) -> DeltaAck:
-    trace_mark = _trace_begin(message)
-    session = _session_of(sessions, message.session_id)
+def _replay(sessions: dict, session: dict, message: CheckRequest) -> None:
+    """Replay the request's journal events and load records onto every
+    replica of its ``session``."""
     events = [SchemaEvent.from_wire(record) for record in message.events]
-    ack = DeltaAck(session_id=message.session_id, pid=os.getpid())
     with obs_spans.span("session.delta", label=message.session_id) as sp:
         sp.set("events", len(events))
         sp.set("loads", len(message.loads))
         try:
             for rdl in session.values():
-                # replicas already past some events skip them, so report the
-                # most any replica applied (not a per-replica overwrite or a
-                # sum)
-                ack.events_applied = max(ack.events_applied,
-                                         rdl.db.replay(events))
+                rdl.db.replay(events)
             for source in message.loads:
                 for rdl in session.values():
                     rdl.load(source)
-                ack.loads_applied += 1
         except Exception:
             # a partial replay leaves replicas half-migrated; they must
             # never serve another request, so poison the whole session —
-            # the next round's request errors ("no attached session"),
-            # forcing a cold re-attach instead of replaying onto divergent
-            # state
+            # the next request errors ("no attached session") unless it
+            # re-attaches, instead of replaying onto divergent state
             sessions.pop(message.session_id, None)
             raise
-    ack.generations = {
-        label: rdl.db.version for label, rdl in session.items()
-    }
-    return _trace_end(ack, trace_mark)
 
 
 def _check(sessions: dict, message: CheckRequest) -> ShardResult:
     trace_mark = _trace_begin(message)
     result = ShardResult(shard_id=message.shard_id, pid=os.getpid())
+    # the catch-up is part of this shard's critical path: count its CPU
+    cpu_start = time.process_time()
     if message.attach is not None:
-        # the attach is part of this shard's critical path: count its CPU
-        cpu_start = time.process_time()
-        result.generations = _attach_replicas(sessions, message.attach).generations
-        result.cpu_s = time.process_time() - cpu_start
+        result.built = _attach_replicas(sessions, message.attach).generations
     session = _session_of(sessions, message.session_id)
+    if message.events or message.loads:
+        _replay(sessions, session, message)
+    result.generations = {
+        label: rdl.db.version for label, rdl in session.items()
+    }
+    result.cpu_s = time.process_time() - cpu_start
 
     def resolve(label: str):
         rdl = session.get(label)

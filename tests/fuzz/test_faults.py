@@ -100,11 +100,7 @@ def test_load_env_ignores_malformed_tokens():
 def test_partial_delta_poisons_session():
     from repro.apps import app_for_label
     from repro.parallel import worker
-    from repro.parallel.protocol import (
-        AttachUniverse,
-        CheckRequest,
-        SessionDelta,
-    )
+    from repro.parallel.protocol import AttachUniverse, CheckRequest
 
     sessions: dict = {}
     ack = worker._serve(sessions, AttachUniverse(
@@ -120,7 +116,8 @@ def test_partial_delta_poisons_session():
     # fail on the second event: a genuine half-migrated replica
     faults.inject("db.replay.event", "error", arg="boom", after=1, times=1)
     with pytest.raises(faults.InjectedFault):
-        worker._serve(sessions, SessionDelta(session_id="s", events=events))
+        worker._serve(sessions, CheckRequest(session_id="s", shard_id=0,
+                                             events=events))
 
     # the session must be gone — serving it would check divergent state
     assert "s" not in sessions

@@ -5,7 +5,8 @@ whichever half of the round-trip noticed (send vs recv), a silent worker
 hits the recv deadline as :class:`WorkerWedged`, a worker-side error
 arrives as :class:`SessionRequestFailed` with the process still usable,
 a journal gap is a :class:`ReplayError`, and losing *every* worker
-degrades a warm round to the serial path with identical verdicts.
+leaves a warm round to the in-process resolve backstop, with identical
+verdicts.
 """
 
 import json
@@ -96,11 +97,13 @@ def test_replay_detects_journal_gap():
         replica.db.replay(events[1:])  # first event missing: a gap
 
 
-def test_all_workers_dead_falls_back_to_serial(monkeypatch):
-    # every session worker dies on attach (times=0: unlimited);
-    # the sync retry loop exhausts its respawn budget and the round must
-    # degrade to the serial path — same verdicts, no hang, no exception
-    monkeypatch.setenv("REPRO_FAULTS", "worker.AttachUniverse=die::0:0")
+def test_all_workers_dead_leaves_the_round_to_in_process_resolve(
+        monkeypatch):
+    # every session worker dies on its check request, which carries its
+    # attach (times=0: unlimited); the round re-plans onto no survivors and
+    # the in-process resolve backstop checks every method — same
+    # verdicts, no hang, no exception
+    monkeypatch.setenv("REPRO_FAULTS", "worker.CheckRequest=die::0:0")
     rdl = app_for_label("huginn").build(backend="memory")
     serial = app_for_label("huginn").build(backend="memory")
     for universe in (rdl, serial):
@@ -112,8 +115,7 @@ def test_all_workers_dead_falls_back_to_serial(monkeypatch):
         run = rdl.warm_engine.last_warm_run
     finally:
         rdl.shutdown_warm()
-    assert run is not None and not run.remote
-    assert run.fallback_reason
+    assert run is not None and run.remote and run.results == []
     assert list(report.checked_methods) == list(baseline.checked_methods)
     assert [str(e) for e in report.errors] == \
         [str(e) for e in baseline.errors]

@@ -38,6 +38,11 @@ def test_app_for_label_resolves_and_rejects():
 # worker checking loop + merge, in-process
 # ---------------------------------------------------------------------------
 
+def _attached_pids(engine):
+    return [handle.pid for handle in engine._session_pool.live()
+            if handle.attached]
+
+
 def _check_fresh(shard_id, specs) -> ShardResult:
     """Check ``specs`` the way a cold worker does: against freshly built,
     pristine universes of their labels."""
@@ -208,13 +213,13 @@ def test_check_all_rides_the_universe_engine_without_rebuilds():
         assert _serial_key(report) == _serial_key(app.build().check(app.label))
         first = engine.last_warm_run
         assert first.remote and first.methods == len(report.checked_methods)
-        pids = [handle.pid for handle in engine._attached_workers()]
+        pids = _attached_pids(engine)
 
         rdl.db.add_column("users", "engine_probe", "string")
         rdl.recheck_dirty(workers=2)
         run = engine.last_warm_run
         assert run.remote and run.session_id == first.session_id
-        assert [handle.pid for handle in engine._attached_workers()] == pids
+        assert _attached_pids(engine) == pids
         rdl.shutdown_warm()
 
 
@@ -245,7 +250,7 @@ def test_cold_round_on_a_pristine_universe_attaches_with_its_requests(
         assert [type(message).__name__ for message in sent] == \
             ["CheckRequest", "CheckRequest"]
         assert all(message.attach is not None for message in sent)
-        assert len(engine._attached_workers()) == 2
+        assert len(_attached_pids(engine)) == 2
         rdl.shutdown_warm()
 
 

@@ -33,6 +33,11 @@ def _key(report):
             report.casts_used, report.oracle_casts)
 
 
+def _attached_pids(engine):
+    return [handle.pid for handle in engine._session_pool.live()
+            if handle.attached]
+
+
 def _twin_pair(label, backend=None):
     app = app_for_label(label)
     warm = app.build(backend=backend)
@@ -61,7 +66,7 @@ def test_migrate_recheck_parity_with_serial_incremental(backend):
         assert run.remote and run.methods > 0
         assert run.results  # verdicts actually came from session workers
         session = run.session_id
-        pids = [h.pid for h in warm.warm_engine._attached_workers()]
+        pids = _attached_pids(warm.warm_engine)
 
         # round 2: the session stays attached — only the journal delta
         # crosses the process boundary, no rebuilds
@@ -75,7 +80,7 @@ def test_migrate_recheck_parity_with_serial_incremental(backend):
         assert run.remote
         # the same session on the same processes: no respawn, no re-attach
         assert run.session_id == session
-        assert [h.pid for h in warm.warm_engine._attached_workers()] == pids
+        assert _attached_pids(warm.warm_engine) == pids
     finally:
         warm.shutdown_warm()
 
@@ -276,12 +281,11 @@ def test_worker_death_mid_round_reruns_shard_on_survivors():
             _key(serial.recheck_dirty())
         engine = warm.warm_engine
 
-        # dirty the next round, converge the (still-live) workers, *then*
-        # kill one: the death is discovered when its shard is dispatched,
-        # which is the mid-round re-plan path
+        # dirty the next round, *then* kill one worker: the death is
+        # discovered when its shard is dispatched, which is the mid-round
+        # re-plan path
         warm.db.add_column("users", "username", "string")
         serial.db.add_column("users", "username", "string")
-        engine.migrate(warm)
         victim = engine._session_pool.workers[0]
         os.kill(victim.process.pid, signal.SIGKILL)
         victim.process.join(timeout=10)
@@ -295,8 +299,8 @@ def test_worker_death_mid_round_reruns_shard_on_survivors():
         assert engine.stats.extra["warm.retries"] >= 1
         assert not victim.alive  # the engine noticed the death
 
-        # the pool heals: the next round respawns to full strength and a
-        # cold attach brings the newcomer back into the session
+        # the pool heals: the next round respawns to full strength and the
+        # newcomer's check request attaches it to the session
         warm.db.drop_column("users", "username")
         serial.db.drop_column("users", "username")
         assert _key(warm.recheck_dirty(workers=2)) == \
@@ -318,7 +322,6 @@ def test_total_worker_loss_still_completes_via_in_process_backstop():
 
         warm.db.drop_column(table, "c1")
         serial.db.drop_column(table, "c1")
-        engine.migrate(warm)
         for handle in engine._session_pool.workers:
             os.kill(handle.process.pid, signal.SIGKILL)
             handle.process.join(timeout=10)
@@ -330,24 +333,41 @@ def test_total_worker_loss_still_completes_via_in_process_backstop():
 
 
 # ---------------------------------------------------------------------------
-# engine-level session API
+# one message per worker per round
 # ---------------------------------------------------------------------------
 
-def test_attach_migrate_recheck_api():
+@pytest.fixture()
+def sent(monkeypatch):
+    """Every message the engine sends a session worker, in order."""
+    from repro.parallel.sessions import SessionWorkerHandle
+
+    messages = []
+    send = SessionWorkerHandle.send
+
+    def recording(handle, message):
+        messages.append((handle, message))
+        return send(handle, message)
+
+    monkeypatch.setattr(SessionWorkerHandle, "send", recording)
+    return messages
+
+
+def test_recheck_round_syncs_every_dispatched_worker():
     app = app_for_label("journey")
     rdl = app.build()
     rdl.check_all(app.label)
     with ParallelCheckEngine(workers=2, stats=rdl.incremental_stats,
                              backend=rdl.db.backend_name) as engine:
-        session_id = engine.attach(rdl)
-        assert session_id
         table = next(iter(rdl.db.tables))
         rdl.db.add_column(table, "session_col", "string")
-        assert engine.migrate(rdl) == rdl.db.version
-        # every live worker is converged with the universe
-        for handle in engine._attached_workers():
-            assert handle.synced_generation == rdl.db.version
+        rdl.incremental.mark_all_dirty()  # enough work for both workers
         report = engine.recheck_dirty(rdl)
+        run = engine.last_warm_run
+        assert run.remote and len(run.results) == 2
+        # every live worker is converged with the universe
+        for handle in engine._session_pool.live():
+            assert handle.attached
+            assert handle.synced_generation == rdl.db.version
 
         serial = app.build()
         serial.check_all(app.label)
@@ -355,13 +375,66 @@ def test_attach_migrate_recheck_api():
         assert _key(report) == _key(serial.recheck_dirty())
 
 
-def test_attach_rejects_unreplicable_universe():
+def test_warm_round_sends_one_message_per_worker(sent):
+    warm, serial = _twin_pair("discourse")
+    try:
+        warm.db.drop_column("users", "username")
+        serial.db.drop_column("users", "username")
+        assert _key(warm.recheck_dirty(workers=2)) == \
+            _key(serial.recheck_dirty())
+
+        sent.clear()
+        warm.db.add_column("users", "username", "string")
+        serial.db.add_column("users", "username", "string")
+        assert _key(warm.recheck_dirty(workers=2)) == \
+            _key(serial.recheck_dirty())
+        run = warm.warm_engine.last_warm_run
+        assert run.remote and run.retries == 0
+        # the journal delta rode on the check request: one message per
+        # dispatched worker, nothing before it
+        assert [type(message).__name__ for _, message in sent] == \
+            ["CheckRequest"] * len(run.results)
+        assert len({handle for handle, _ in sent}) == len(sent)
+        assert all(message.events and message.attach is None
+                   for _, message in sent)
+    finally:
+        warm.shutdown_warm()
+
+
+def test_migrated_universe_attaches_with_its_first_check_requests(sent):
+    # migrated before its first warm round, so no longer pristine: the
+    # attach and the journal replay still ride on the check requests
+    warm, serial = _twin_pair("discourse")
+    try:
+        for rdl in (warm, serial):
+            rdl.db.drop_column("users", "username")
+        assert _key(warm.recheck_dirty(workers=2)) == \
+            _key(serial.recheck_dirty())
+        run = warm.warm_engine.last_warm_run
+        assert run.remote and run.results
+        names = [type(message).__name__ for _, message in sent]
+        assert "AttachUniverse" not in names
+        assert names == ["CheckRequest"] * len(names)
+        assert all(message.attach is not None and message.events
+                   for _, message in sent)
+    finally:
+        warm.shutdown_warm()
+
+
+def test_unreplicable_universe_falls_back_to_serial():
     from repro import CompRDL
 
-    rdl = CompRDL()
+    rdl = CompRDL()  # never marked pristine
+    rdl.load(PROBE_SOURCE)
+    rdl.check_all("huginn")
+    rdl.incremental.mark_all_dirty()
     with ParallelCheckEngine(workers=2) as engine:
-        with pytest.raises(ValueError):
-            engine.attach(rdl, labels=["huginn"])  # never marked pristine
+        report = engine.recheck_dirty(rdl)
+        run = engine.last_warm_run
+        assert not run.remote
+        assert run.fallback_reason == "universe was never marked pristine"
+        assert report.checked_methods == ["WarmSessionProbe.answer"]
+        assert engine._session_pool is None  # nothing was started
 
 
 def test_labels_checked_after_attach_are_covered():
