@@ -186,26 +186,26 @@ class CompRDL:
         many warm session workers, exactly like ``recheck_dirty(workers=N)``:
         a cold check's requests also attach the session.  Every label
         must name a :mod:`repro.apps` subject app.  The universe's warm
-        engine is used when its width matches; otherwise a transient one
-        runs the round and is closed before returning.  Worker verdicts and
-        dependencies are fed back into the incremental engine, the report
-        is verdict-for-verdict identical to a serial run, and deltas that
-        cannot be bounded fall back to the serial path.
+        engine is used when its width matches; otherwise a fresh engine runs
+        the round on the process's pool of that width and detaches its
+        session before returning, leaving the workers up for the next call.
+        Worker verdicts and dependencies are fed back into the incremental
+        engine, the report is verdict-for-verdict identical to a serial run,
+        and deltas that cannot be bounded fall back to the serial path.
         """
         if workers <= 1:
             return self.incremental.check_all(labels)
-        # one span over the whole call, the transient fleet's shutdown
-        # included, so a traced run attributes all of it to the fleet
+        # one span over the whole call, the detach included, so a traced
+        # run attributes all of it to the fleet
         with obs.span("fleet.round"):
             engine = self._warm_engine
-            transient = engine is None or engine.workers != workers
-            if transient:
-                engine = self._new_engine(workers)
+            if engine is not None and engine.workers == workers:
+                return engine.check(self, labels)
+            engine = self._new_engine(workers)
             try:
                 return engine.check(self, labels)
             finally:
-                if transient:
-                    engine.close()
+                engine.detach()
 
     def recheck_dirty(self, workers: int = 1) -> TypeErrorReport:
         """Re-verify only methods dirtied by schema changes since the last

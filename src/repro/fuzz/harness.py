@@ -319,10 +319,10 @@ class _Storm:
 
     def _kill_one_session_worker(self) -> None:
         engine = self.warm.warm_engine if self.warm is not None else None
-        pool = getattr(engine, "_session_pool", None)
-        if pool is None:
+        if engine is None:
             return
-        victims = [handle for handle in pool.live() if handle.attached]
+        # the workers holding this engine's session
+        victims = [handle for handle in engine._synced if handle.alive]
         if not victims:
             return
         victim = victims[0]

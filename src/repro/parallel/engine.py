@@ -1,10 +1,11 @@
-"""The parallel checking fleet: pool management and orchestration.
+"""The parallel checking fleet: sessions and orchestration.
 
-:class:`ParallelCheckEngine` keeps one pool of session workers, forked
-from a preloaded template (:mod:`repro.parallel.sessions`), warm between
-rounds and checks a *live* universe on it.  Session workers keep replicas
-of the universe's subject app and check only the pending methods; the
-report is verdict-for-verdict identical to the serial incremental path.
+:class:`ParallelCheckEngine` checks a *live* universe on the process's
+pool of session workers of its width, forked from a preloaded template
+(:mod:`repro.parallel.sessions`) and kept up between rounds and between
+engines.  Session workers keep replicas of the universe's subject app and
+check only the pending methods; the report is verdict-for-verdict
+identical to the serial incremental path.
 A round sends each worker one :class:`CheckRequest` carrying what that
 worker lacks of the universe — the session's attach when it holds no
 replicas, then the journal events and post-build load records it has not
@@ -48,7 +49,9 @@ from repro.parallel.sessions import (
     SessionRequestFailed,
     WarmRun,
     WorkerLost,
+    end_pool,
     new_session_id,
+    shared_pool,
 )
 from repro.typecheck.errors import TypeErrorReport
 
@@ -73,6 +76,23 @@ def specs_for_labels(labels, registry) -> list[MethodSpec]:
     return specs
 
 
+def _broadcast(handles, message, deadline_s) -> None:
+    """Send ``message`` to every live handle, then take every reply (the
+    workers serve it in parallel); a lost or failing worker is skipped."""
+    sent = []
+    for handle in handles:
+        try:
+            handle.send(message)
+            sent.append(handle)
+        except WorkerLost:
+            pass
+    for handle in sent:
+        try:
+            handle.recv(deadline_s=deadline_s)
+        except (WorkerLost, SessionRequestFailed):
+            pass
+
+
 def _normalize_labels(labels) -> list[str]:
     if isinstance(labels, str):
         labels = [labels]
@@ -80,7 +100,8 @@ def _normalize_labels(labels) -> list[str]:
 
 
 class ParallelCheckEngine:
-    """A persistent pool of session workers checking live universes."""
+    """One session at a time on the process's pool of ``workers`` session
+    workers, checking live universes."""
 
     def __init__(self, workers: int,
                  stats: IncrementalStats | None = None,
@@ -98,12 +119,15 @@ class ParallelCheckEngine:
         # is the forkserver's, not this process's current one
         self.backend = backend
         self.stats = stats or IncrementalStats()
-        # warm session state: a pool of stateful session workers plus the
-        # universe currently attached to them
+        # the shared pool this engine last ran on, the universe attached as
+        # its session, and the session's own sync state per worker handle:
+        # (generation, post-build loads applied), or None for a worker that
+        # may hold the session's replicas but must re-attach
         self._session_pool: SessionPool | None = None
         self._attached_rdl = None
         self._attached_labels: list[str] = []
         self._session_id: str | None = None
+        self._synced: dict = {}
         self.last_warm_run: WarmRun | None = None
 
     # ------------------------------------------------------------------
@@ -117,28 +141,17 @@ class ParallelCheckEngine:
         start = time.perf_counter()
         labels = _normalize_labels(labels)
         backend = self.backend or default_backend_name()
-        prebuild = AttachUniverse(None, tuple(labels), backend=backend)
-        sent = []
-        for handle in self._session_handles():
-            try:
-                handle.send(prebuild)
-                sent.append(handle)
-            except WorkerLost:
-                continue
-        for handle in sent:
-            try:
-                handle.recv(deadline_s=self._cold_deadline())
-            except (WorkerLost, SessionRequestFailed):
-                continue
+        _broadcast(self._session_handles(),
+                   AttachUniverse(None, tuple(labels), backend=backend),
+                   self._cold_deadline())
         return time.perf_counter() - start
 
     def _session_handles(self):
-        """The shared session-worker pool at full strength (started on
+        """The process's pool of this width at full strength (started on
         first use, dead workers respawned blank): the processes prime()
-        prebuilds in are the ones sessions attach to."""
-        if self._session_pool is None:
-            self._session_pool = SessionPool(
-                self.workers, deadline_s=self.deadline_s)
+        prebuilds in are the ones every session of this width attaches
+        to."""
+        self._session_pool = shared_pool(self.workers)
         return self._session_pool.ensure()
 
     def _cold_deadline(self) -> float:
@@ -148,17 +161,15 @@ class ParallelCheckEngine:
         return max(DEADLINE_S, self.deadline_s or 0.0)
 
     def close(self) -> None:
-        """Discard the session AND the worker pool.
+        """Discard the session and end the pool's workers (every engine of
+        this width loses its replicas; the next round respawns the pool,
+        whose check requests attach afresh).
 
         Also the reset after a diverged round: a replica that diverged
-        from the universe must never serve it again, and the next round
-        respawns the pool, whose check requests attach afresh."""
-        if self._session_pool is not None:
-            self._session_pool.close()
-            self._session_pool = None
-        self._attached_rdl = None
-        self._attached_labels = []
-        self._session_id = None
+        from the universe must never serve it again."""
+        end_pool(self.workers)
+        self._session_pool = None
+        self.detach()  # only resets: no worker is left to tell
 
     def __enter__(self) -> "ParallelCheckEngine":
         return self
@@ -212,11 +223,6 @@ class ParallelCheckEngine:
         verdict-for-verdict identical to ``IncrementalScheduler.check_all``,
         which is also the fallback.  Raises ``KeyError`` for a label that
         names no subject app.
-
-        On an engine with no pool yet, every worker started pays a full
-        replica build, so the pool is sized by the plan that build cost
-        (``planner.DEFAULT_BUILD_COST``) allows — often one worker, never
-        above ``workers``.
         """
         from repro.apps import app_for_label
 
@@ -227,15 +233,6 @@ class ParallelCheckEngine:
         for label in labels:
             if label not in scheduler.labels:
                 scheduler.labels.append(label)
-        if self._session_pool is None:
-            cold_plan = plan_shards(
-                specs_for_labels(labels, rdl.registry),
-                self.workers,
-                registry=rdl.registry,
-                stats=scheduler.stats,
-            )
-            self._session_pool = SessionPool(
-                max(1, len(cold_plan)), deadline_s=self.deadline_s)
         return self._round(rdl, labels, lambda: scheduler.check_all(labels))
 
     def _round(self, rdl, labels, serial) -> TypeErrorReport:
@@ -287,9 +284,6 @@ class ParallelCheckEngine:
                 len(workers),
                 registry=rdl.registry,
                 stats=scheduler.stats,
-                # replicas are alive or attach with the request: splitting
-                # costs nothing
-                build_cost=0.0,
             )
             plan_s = time.perf_counter() - plan_start
 
@@ -324,19 +318,14 @@ class ParallelCheckEngine:
             return report
 
     def detach(self) -> None:
-        """Drop the attached session (workers stay up for re-attachment)."""
-        if self._session_id is not None and self._session_pool is not None:
-            for handle in self._session_pool.live():
-                if not handle.attached:
-                    continue
-                try:
-                    handle.request(DetachSession(self._session_id))
-                except (WorkerLost, SessionRequestFailed):
-                    pass
-                handle.attached = False
+        """Drop the attached session: its workers free its replicas and
+        stay up for the next session."""
+        _broadcast(self._synced, DetachSession(self._session_id),
+                   self.deadline_s)
         self._attached_rdl = None
         self._attached_labels = []
         self._session_id = None
+        self._synced = {}
 
     # -- warm internals ----------------------------------------------------
     def warm_block_reason(self, rdl, labels) -> str | None:
@@ -374,8 +363,8 @@ class ParallelCheckEngine:
         records it has not applied."""
         journal = rdl.db.journal
         attach = None
-        synced, applied = handle.synced_generation, handle.loads_applied
-        if not handle.attached or synced < journal.oldest_retained:
+        synced, applied = self._synced.get(handle) or (None, 0)
+        if synced is None or synced < journal.oldest_retained:
             attach = AttachUniverse(
                 session_id=self._session_id,
                 labels=tuple(self._attached_labels),
@@ -397,9 +386,8 @@ class ParallelCheckEngine:
         self.last_warm_run = WarmRun(remote=False, fallback_reason=reason)
         return serial()
 
-    @staticmethod
-    def _note_synced(handle, request: CheckRequest, result: ShardResult,
-                     rdl) -> None:
+    def _note_synced(self, handle, request: CheckRequest,
+                     result: ShardResult, rdl) -> None:
         """Assert a reply's replicas match the universe, then record the
         worker as level with it."""
         pristine = rdl.pristine_generation
@@ -414,9 +402,7 @@ class ParallelCheckEngine:
                 f"delta replay diverged on worker {handle.index}: "
                 f"replicas at {result.generations}, universe at "
                 f"{rdl.db.version}")
-        handle.attached = True
-        handle.synced_generation = rdl.db.version
-        handle.loads_applied = len(rdl.post_build_loads)
+        self._synced[handle] = (rdl.db.version, len(rdl.post_build_loads))
 
     def _run_warm_shards(self, rdl, shards: list[Shard], workers,
                          catch_ups: dict) -> tuple[list[ShardResult], int]:
@@ -454,14 +440,15 @@ class ParallelCheckEngine:
                     # deadline applies, as for prime()'s AttachUniverse
                     result = handle.recv(deadline_s=(
                         self._cold_deadline() if request.attach is not None
-                        else None))
+                        else self.deadline_s))
                 except WorkerLost:
                     obs_spans.event("warm.worker_lost",
                                     args={"shard": shard.index,
                                           "during": "recv"})
                     lost.append(shard)
                 except SessionRequestFailed:
-                    handle.attached = False  # stale session: re-attach later
+                    # stale session: re-attach later, detach either way
+                    self._synced[handle] = None
                     obs_spans.event("warm.session_stale",
                                     args={"shard": shard.index})
                     lost.append(shard)

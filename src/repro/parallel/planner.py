@@ -8,10 +8,9 @@ cost** is its last *observed* wall time when the incremental stats have one
 sites are where comp types evaluate (rule C-App-Comp), so a body's
 ``MethodCall`` node count is the best static proxy for its checking cost.
 
-A shard only pays off when it saves more checking than its worker spends
-getting ready: ``build_cost`` is that price.  Session rounds over live
-replicas pass 0 (every split pays); sizing a fresh pool uses
-:data:`DEFAULT_BUILD_COST`, the price of a fresh worker's first round.
+Every spare worker gets a shard: the workers are already up (the
+process's pool is kept between rounds), and a worker that holds no
+replicas attaches with its shard's request.
 
 Planning is deterministic: all orderings derive from the caller's spec
 order, with explicit tie-breaks, so the same inputs always produce the same
@@ -26,12 +25,6 @@ from repro.lang import ast_nodes as ast
 from repro.obs.spans import traced
 from repro.parallel.protocol import MethodSpec
 
-#: the price in seconds of a fresh worker's first round beyond its share of
-#: checking.  A worker forked from the template builds one app's replica in
-#: 6-15 ms, but then checks on cold caches: priced at 0.01 s, a transient
-#: check_all(workers=2) split discourse and codeorg in two and got slower
-#: (discourse 93 -> 155 ms), so the price stays at 0.05 s
-DEFAULT_BUILD_COST = 0.05
 #: fallback per-method base checking cost in seconds
 BASE_METHOD_COST = 0.0004
 #: heuristic cost of one potential comp-evaluation site (a call node)
@@ -89,19 +82,16 @@ def plan_shards(
     workers: int,
     registry=None,
     stats=None,
-    build_cost: float = DEFAULT_BUILD_COST,
 ) -> list[Shard]:
     """Partition ``specs`` into at most ``workers`` balanced shards.
 
     ``registry`` holds the method bodies (for the comp-count heuristic).
-    While there are spare workers, the costliest group of methods is
-    halved (LPT), but only when half its checking outweighs
-    ``build_cost``.  Each group becomes one shard, costliest first.
+    While there are spare workers, the costliest group of several methods
+    is halved (LPT).  Each group becomes one shard, costliest first.
     """
     groups = [[(spec, method_cost(spec, registry, stats)) for spec in specs]]
     while len(groups) < max(1, workers):
-        candidates = [group for group in groups
-                      if len(group) > 1 and _cost(group) / 2 > build_cost]
+        candidates = [group for group in groups if len(group) > 1]
         if not candidates:
             break
         # max() keeps the oldest group on ties: list order is creation order

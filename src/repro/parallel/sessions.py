@@ -1,21 +1,21 @@
-"""Engine-side management of warm session workers.
+"""Engine-side management of session workers.
 
 One :class:`SessionWorkerHandle` wraps one worker process running
-:func:`repro.parallel.worker.session_main` over a private duplex pipe, plus
-the engine's bookkeeping about what that worker has seen: whether it holds
-the session's replicas, which schema generation it is synced to, and how
-many post-build load records it has applied — what its next check request
-must carry to catch up.  :class:`SessionPool` owns a fixed-size fleet of
-handles and respawns dead ones (a respawned worker is blank — ``attached``
-is false, so its next check request carries the session's attach).
+:func:`repro.parallel.worker.session_main` over a private duplex pipe.
+:class:`SessionPool` owns a fixed-size fleet of handles and respawns dead
+ones blank.  A process keeps one pool per width (:func:`shared_pool`),
+which every :class:`~repro.parallel.engine.ParallelCheckEngine` of that
+width runs its sessions on; each engine keeps its own session's sync state
+per handle.  ``engine.close()`` ends a pool's workers, and an exit handler
+ends those of a pool no engine closed.
 
 Every worker forks from one process-wide forkserver (:func:`pool_context`)
 whose template, :mod:`repro.parallel.template`, has already imported the
 package and built the library base, so a worker is ready in milliseconds.
 A worker inherits the *server's* environment, frozen when the server
 started, never the parent's current one: whatever a worker must take from
-the parent rides on its start arguments (the fault plan) or on each request
-(tracing, provenance, the storage backend).
+the parent rides on its start arguments (the fault plan, fixed per pool)
+or on each request (tracing, provenance, the storage backend).
 
 Crash semantics: every request is a send + recv on the handle's pipe; if
 the child died, either call raises and the handle is marked dead —
@@ -27,7 +27,7 @@ re-attaches the worker on its next request, but never counts it dead.
 
 A third failure mode is the worker that is alive but never replies — a
 wedged pipe would otherwise block ``recv()`` forever.  Every recv carries
-a deadline (per-handle default, overridable per call, otherwise
+a deadline (overridable per call, otherwise the handle's, otherwise
 ``DEADLINE_S``, 120 s); on expiry the worker is killed — its reply stream
 can no longer be trusted — and :class:`WorkerWedged` (a ``WorkerLost``)
 routes into the same shard-retry path as a crash.
@@ -91,11 +91,36 @@ def pool_context():
     return ctx
 
 
+#: the process-wide pools, by width (see :func:`shared_pool`)
+_POOLS: dict[int, SessionPool] = {}
+
+
+def shared_pool(size: int) -> SessionPool:
+    """This process's pool of ``size`` workers, started on first use and
+    replaced once ``REPRO_FAULTS`` changed since it started: a request
+    made under one fault plan must never reach workers armed with another."""
+    pool = _POOLS.get(size)
+    if pool is None or pool.faults != os.environ.get("REPRO_FAULTS", ""):
+        end_pool(size)
+        pool = _POOLS[size] = SessionPool(size)
+    return pool
+
+
+def end_pool(size: int) -> None:
+    """End the workers of this process's pool of ``size``, if it has one
+    (the next :func:`shared_pool` call starts a fresh one)."""
+    pool = _POOLS.pop(size, None)
+    if pool is not None:
+        pool.close()
+
+
 def _stop_server() -> None:
-    """At exit, stop the forkserver and reap it, so that it does not
-    outlive this process.  Only once no worker is left: every worker holds
-    the server open, and a live one is ended later, by multiprocessing's
-    own exit handler."""
+    """At exit, end every pool's workers, then stop the forkserver and
+    reap it, so that neither outlives this process.  The server stops only
+    once no worker is left: every worker holds it open, and one started
+    outside a pool is ended later, by multiprocessing's own exit handler."""
+    for pool in _POOLS.values():
+        pool.close()
     if not multiprocessing.active_children():
         forkserver._forkserver._stop()
 
@@ -137,7 +162,7 @@ class SessionRequestFailed(RuntimeError):
 
 
 class SessionWorkerHandle:
-    """One live session worker process plus its sync bookkeeping."""
+    """One live session worker process and its pipe."""
 
     def __init__(self, ctx, index: int, deadline_s: float | None = None):
         self.index = index
@@ -155,12 +180,6 @@ class SessionWorkerHandle:
         self.process.start()
         child_conn.close()
         self.alive = True
-        # per-worker session sync state (the engine drives one session per
-        # pool; the wire protocol itself is keyed by session id and allows
-        # many)
-        self.attached = False
-        self.synced_generation = 0
-        self.loads_applied = 0
 
     @property
     def pid(self) -> int:
@@ -234,7 +253,6 @@ class SessionWorkerHandle:
 
     def _lost(self) -> None:
         self.alive = False
-        self.attached = False
         try:
             self.conn.close()
         except OSError:
@@ -265,21 +283,20 @@ class SessionWorkerHandle:
 class SessionPool:
     """A fixed-size fleet of session workers with respawn-on-death."""
 
-    def __init__(self, size: int, deadline_s: float | None = None):
+    def __init__(self, size: int):
         self.size = max(1, size)
-        self.deadline_s = deadline_s
+        self.faults = os.environ.get("REPRO_FAULTS", "")  # see shared_pool
         self._ctx = pool_context()
         self.workers: list[SessionWorkerHandle] = []
         self._next_index = 0  # never reused, so diagnostics stay unambiguous
 
     def ensure(self) -> list[SessionWorkerHandle]:
         """The pool at full strength: dead handles replaced by blank ones
-        (``attached`` false — their next request must attach them)."""
+        (new handles, so no session counts them attached)."""
         self.workers = [h for h in self.workers if h.alive]
         while len(self.workers) < self.size:
             self.workers.append(
-                SessionWorkerHandle(self._ctx, self._next_index,
-                                    deadline_s=self.deadline_s))
+                SessionWorkerHandle(self._ctx, self._next_index))
             self._next_index += 1
         return list(self.workers)
 

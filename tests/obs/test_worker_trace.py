@@ -76,9 +76,8 @@ def test_protocol_messages_default_to_untraced():
 
 def test_fleet_check_collects_spans_from_distinct_worker_pids():
     obs.enable()
-    # a transient fleet sizes itself to one worker per app; an adopted,
-    # primed 2-worker engine splits the app across both, so spans arrive
-    # from two pids
+    # a 2-worker engine splits the app across both workers, so spans
+    # arrive from two pids
     app = app_for_label(LABEL)
     with ParallelCheckEngine(workers=2) as engine:
         engine.prime([app.label])

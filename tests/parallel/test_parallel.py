@@ -39,8 +39,9 @@ def test_app_for_label_resolves_and_rejects():
 # ---------------------------------------------------------------------------
 
 def _attached_pids(engine):
+    """The pids of the live workers holding ``engine``'s session."""
     return [handle.pid for handle in engine._session_pool.live()
-            if handle.attached]
+            if engine._synced.get(handle) is not None]
 
 
 def _check_fresh(shard_id, specs) -> ShardResult:
@@ -176,14 +177,30 @@ end
     assert stats.methods_checked_parallel == len(report.checked_methods)
 
 
-def test_check_all_with_workers_leaves_no_worker_running():
-    # a universe without a warm engine runs the round on a transient fleet
-    # and closes it before returning
+def test_check_all_with_workers_keeps_the_fleet_until_it_is_closed(
+        monkeypatch):
+    # a universe without a warm engine runs the round on the process's
+    # pool of that width, detaches, and leaves the workers up for the next
+    # call; closing an engine of that width ends them
+    ParallelCheckEngine(workers=2).close()
     before = set(multiprocessing.active_children())
-    rdl = APPS["huginn"].build()
-    rdl.check_all("huginn", workers=2)
-    assert rdl.warm_engine is None
-    assert set(multiprocessing.active_children()) - before == set()
+    runs = []
+    check = ParallelCheckEngine.check
+
+    def recording(engine, rdl, labels):
+        report = check(engine, rdl, labels)
+        runs.append(engine.last_warm_run)
+        return report
+
+    monkeypatch.setattr(ParallelCheckEngine, "check", recording)
+    for _ in range(2):
+        rdl = APPS["huginn"].build()
+        rdl.check_all("huginn", workers=2)
+        assert rdl.warm_engine is None
+    first, second = ({result.pid for result in run.results} for run in runs)
+    assert all(run.remote for run in runs) and first and first == second
+    ParallelCheckEngine(workers=2).close()
+    assert set(multiprocessing.active_children()) == before
 
 
 def test_check_all_after_pristine_redefinition_falls_back_to_serial():

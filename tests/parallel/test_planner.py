@@ -7,7 +7,6 @@ from repro.parallel import MethodSpec, method_cost, plan_shards
 from repro.parallel.planner import (
     BASE_METHOD_COST,
     COMP_SITE_COST,
-    DEFAULT_BUILD_COST,
     comp_site_count,
 )
 from repro.parallel.protocol import decode_error, encode_error
@@ -62,7 +61,7 @@ end
 
 def test_plan_covers_every_spec_exactly_once():
     specs = _specs("a", 12)
-    shards = plan_shards(specs, workers=3, build_cost=0.0)
+    shards = plan_shards(specs, workers=3)
     assert len(shards) == 3
     planned = [spec for shard in shards for spec in shard.specs]
     assert sorted(planned, key=specs.index) == specs
@@ -71,8 +70,8 @@ def test_plan_covers_every_spec_exactly_once():
 
 def test_plan_is_deterministic():
     specs = _specs("a", 14)
-    first = plan_shards(specs, workers=4, build_cost=0.0)
-    second = plan_shards(specs, workers=4, build_cost=0.0)
+    first = plan_shards(specs, workers=4)
+    second = plan_shards(specs, workers=4)
     assert [s.specs for s in first] == [s.specs for s in second]
 
 
@@ -80,21 +79,18 @@ def test_heavy_label_splits_across_spare_workers():
     stats = IncrementalStats()
     specs = _specs("hot", 8)
     for spec in specs:
-        stats.method_costs[spec.desc] = 1.0  # checking dwarfs any build
-    shards = plan_shards(specs, workers=4, stats=stats, build_cost=0.01)
+        stats.method_costs[spec.desc] = 1.0
+    shards = plan_shards(specs, workers=4, stats=stats)
     assert len(shards) == 4
     sizes = sorted(len(shard.specs) for shard in shards)
     assert sizes == [2, 2, 2, 2]
 
 
-def test_cheap_methods_stay_in_one_shard_when_a_build_dominates():
-    # a fresh worker pays a replica build (DEFAULT_BUILD_COST): twelve
-    # heuristic-cost methods do not save that much, so 4 workers get 1
-    # shard — the plan that sizes a fresh pool for check_all(workers=N)
-    specs = _specs("a", 12)
-    assert 12 * BASE_METHOD_COST / 2 < DEFAULT_BUILD_COST
-    assert len(plan_shards(specs, workers=4)) == 1
-    assert len(plan_shards(specs, workers=4, build_cost=0.0)) == 4
+def test_cheap_methods_still_get_every_spare_worker():
+    # the workers are already up, so even heuristic-cost methods split
+    # across all of them, and never into more shards than methods
+    assert len(plan_shards(_specs("a", 12), workers=4)) == 4
+    assert len(plan_shards(_specs("a", 3), workers=4)) == 3
 
 
 def test_single_worker_gets_everything_in_serial_order():

@@ -10,6 +10,7 @@ and re-checks in-process; every warm report is compared against it.
 
 import os
 import signal
+from collections import Counter
 
 import pytest
 
@@ -34,8 +35,9 @@ def _key(report):
 
 
 def _attached_pids(engine):
+    """The pids of the live workers holding ``engine``'s session."""
     return [handle.pid for handle in engine._session_pool.live()
-            if handle.attached]
+            if engine._synced.get(handle) is not None]
 
 
 def _twin_pair(label, backend=None):
@@ -366,8 +368,7 @@ def test_recheck_round_syncs_every_dispatched_worker():
         assert run.remote and len(run.results) == 2
         # every live worker is converged with the universe
         for handle in engine._session_pool.live():
-            assert handle.attached
-            assert handle.synced_generation == rdl.db.version
+            assert engine._synced[handle][0] == rdl.db.version
 
         serial = app.build()
         serial.check_all(app.label)
@@ -435,6 +436,63 @@ def test_unreplicable_universe_falls_back_to_serial():
         assert run.fallback_reason == "universe was never marked pristine"
         assert report.checked_methods == ["WarmSessionProbe.answer"]
         assert engine._session_pool is None  # nothing was started
+
+
+def test_fallback_round_starts_no_pool(monkeypatch):
+    # the block check comes before any pool lookup: a universe that falls
+    # back to serial starts neither a pool nor the forkserver
+    from repro import CompRDL
+    from repro.parallel import sessions
+
+    started = []
+    monkeypatch.setattr(sessions, "pool_context",
+                        lambda: started.append("forkserver"))
+    monkeypatch.setattr(sessions, "_POOLS", {})
+    engine = ParallelCheckEngine(workers=2)
+    report = engine.check(CompRDL(), ["huginn"])  # never marked pristine
+    run = engine.last_warm_run
+    assert not run.remote
+    assert run.fallback_reason == "universe was never marked pristine"
+    assert report.ok() and report.checked_methods == []
+    assert started == [] and sessions._POOLS == {}
+    assert engine._session_pool is None
+
+
+def test_sessions_sharing_a_pool_do_not_evict_each_other(sent):
+    # a fresh universe's check_all(workers=2) runs a cold session on the
+    # very workers that hold discourse's warm one: afterwards discourse's
+    # next round still needs neither an attach nor a replay from the start
+    warm, serial = _twin_pair("discourse")
+    with ParallelCheckEngine(workers=2) as engine:
+        warm.adopt_warm_engine(engine)
+        for rdl in (warm, serial):
+            rdl.db.drop_column("users", "username")
+            rdl.incremental.mark_all_dirty()  # work for both workers
+        assert _key(warm.recheck_dirty(workers=2)) == \
+            _key(serial.recheck_dirty())
+        assert len(engine.last_warm_run.results) == 2
+        warm_handles = set(engine._synced)
+
+        sent.clear()
+        fresh = app_for_label("huginn").build()
+        assert _key(fresh.check_all("huginn", workers=2)) == \
+            _key(app_for_label("huginn").build().check("huginn"))
+        cold = [(handle, message) for handle, message in sent
+                if type(message).__name__ == "CheckRequest"]
+        assert {handle for handle, _ in cold} == warm_handles
+        assert all(message.attach is not None for _, message in cold)
+
+        sent.clear()
+        for rdl in (warm, serial):
+            rdl.db.add_column("users", "username", "string")
+            rdl.incremental.mark_all_dirty()
+        assert _key(warm.recheck_dirty(workers=2)) == \
+            _key(serial.recheck_dirty())
+        assert warm.warm_engine.last_warm_run.remote
+        assert Counter(type(message).__name__ for _, message in sent) == \
+            {"CheckRequest": 2}
+        assert all(message.attach is None for _, message in sent)
+        warm.shutdown_warm()
 
 
 def test_labels_checked_after_attach_are_covered():

@@ -424,56 +424,58 @@ def test_warm_rounds_beat_the_cold_fleet():
     out within 1.5x of each other."""
     cold = warm = 0.0
     seeded = unseeded = 0.0
-    bare_fleet = ParallelCheckEngine(workers=WORKERS, backend=GATE_BACKEND)
-    with bare_fleet, _gc_paused():
-        bare_fleet.prime([])  # start the workers, build nothing
+    # every engine of one width runs on the process's one pool, so one
+    # engine serves every side: its workers stay up across the apps, and
+    # a primed app waits in their catalogs until a session adopts it
+    fleet = ParallelCheckEngine(workers=WORKERS, backend=GATE_BACKEND)
+    with fleet, _gc_paused():
+        fleet.prime([])  # start the workers, build nothing
         for app, table in _apps_with_tables():
             gc.collect()  # between apps, outside the measured rounds
-            with ParallelCheckEngine(workers=WORKERS,
-                                     backend=GATE_BACKEND) as fleet:
-                fleet.prime([app.label])
-                serial = _verdicts([app.build(backend=GATE_BACKEND)
-                                    .check(app.label)])
-                rdl = app.build(backend=GATE_BACKEND)
-                rdl.adopt_warm_engine(fleet)
-                rounds = []
-                for round_no in range(ROUNDS):
-                    if round_no == 0:
-                        report = rdl.check_all(app.label, workers=WORKERS)
-                    else:
-                        rdl.incremental.mark_all_dirty()
-                        report = rdl.recheck_dirty(workers=WORKERS)
-                    assert _verdicts([report]) == serial
-                    rounds.append(_critical_path(fleet.last_warm_run))
-                rdl.shutdown_warm()
-                cold += statistics.fmean(rounds)
-                # the cold session adopted the primed replicas: prime again
-                # so the seeded warm setup below finds them
-                fleet.prime([app.label])
+            # no worker holds this app yet: the first warm round builds
+            rdl, setup = _first_warm_round(fleet, app, table)
+            rdl.shutdown_warm()
+            unseeded += setup
 
-                rdl, setup = _first_warm_round(bare_fleet, app, table)
-                rdl.shutdown_warm()
-                unseeded += setup
-                rdl, setup = _first_warm_round(fleet, app, table)
-                seeded += setup
-                # the serial twin takes the same migrations: verdict parity
-                twin = app.build(backend=GATE_BACKEND)
-                twin.check_all(app.label)
-                twin.db.add_column(table, "gate_migrated", "string")
-                rounds = []
-                for round_no in range(ROUNDS):
-                    for universe in (rdl, twin):
-                        if round_no % 2 == 0:
-                            universe.db.add_column(table, "gate_probe",
-                                                   "string")
-                        else:
-                            universe.db.drop_column(table, "gate_probe")
+            fleet.prime([app.label])
+            serial = _verdicts([app.build(backend=GATE_BACKEND)
+                                .check(app.label)])
+            rdl = app.build(backend=GATE_BACKEND)
+            rdl.adopt_warm_engine(fleet)
+            rounds = []
+            for round_no in range(ROUNDS):
+                if round_no == 0:
+                    report = rdl.check_all(app.label, workers=WORKERS)
+                else:
+                    rdl.incremental.mark_all_dirty()
                     report = rdl.recheck_dirty(workers=WORKERS)
-                    assert (_verdicts([report])
-                            == _verdicts([twin.recheck_dirty()]))
-                    rounds.append(_critical_path(fleet.last_warm_run))
-                rdl.shutdown_warm()
-                warm += statistics.fmean(rounds)
+                assert _verdicts([report]) == serial
+                rounds.append(_critical_path(fleet.last_warm_run))
+            rdl.shutdown_warm()
+            cold += statistics.fmean(rounds)
+            # the cold session adopted the primed replicas: prime again
+            # so the seeded warm setup below finds them
+            fleet.prime([app.label])
+            rdl, setup = _first_warm_round(fleet, app, table)
+            seeded += setup
+            # the serial twin takes the same migrations: verdict parity
+            twin = app.build(backend=GATE_BACKEND)
+            twin.check_all(app.label)
+            twin.db.add_column(table, "gate_migrated", "string")
+            rounds = []
+            for round_no in range(ROUNDS):
+                for universe in (rdl, twin):
+                    if round_no % 2 == 0:
+                        universe.db.add_column(table, "gate_probe",
+                                               "string")
+                    else:
+                        universe.db.drop_column(table, "gate_probe")
+                report = rdl.recheck_dirty(workers=WORKERS)
+                assert (_verdicts([report])
+                        == _verdicts([twin.recheck_dirty()]))
+                rounds.append(_critical_path(fleet.last_warm_run))
+            rdl.shutdown_warm()
+            warm += statistics.fmean(rounds)
     drop = 1.0 - seeded / unseeded
     assert drop >= 0.30, f"seeded setup drop {drop:.2f}"
     assert warm < cold, (f"warm critical path {warm * 1e3:.1f}ms per round "
