@@ -6,14 +6,29 @@ affected table is re-introspected with ``PRAGMA table_info``, so the
 engine itself reports — including for databases this process did not
 create (``Database.attach(path)``).
 
-Migrations translate to real DDL:
+Migrations translate to real DDL, one table at a time:
 
-* ``create_table``  → ``CREATE TABLE``
-* ``drop_table``    → ``DROP TABLE``
-* ``rename_table``  → ``ALTER TABLE ... RENAME TO``
-* ``add_column``    → ``ALTER TABLE ... ADD COLUMN``
-* ``drop_column``   → ``ALTER TABLE ... DROP COLUMN``
-* ``rename_column`` → ``ALTER TABLE ... RENAME COLUMN ... TO``
+* ``create_table`` → ``CREATE TABLE`` with the canonical column
+  definitions (each quoted name plus its ``_KIND_TO_SQL`` type)
+* ``drop_table``   → ``DROP TABLE``
+* ``add_column``, ``drop_column``, ``rename_column`` and ``rename_table``
+  → a rebuild of that one table, in one transaction: read its rows with
+  their rowids, ``DROP TABLE``, ``CREATE TABLE`` the new shape, insert the
+  rows back under the same rowids.  ``ALTER TABLE ... RENAME/DROP COLUMN``
+  and ``RENAME TO`` would re-parse every ``CREATE`` in the file, so their
+  cost grows with the number of tables; a rebuild's does not.
+
+A rebuild writes the canonical ``CREATE``, so it is lossless only for a
+table whose stored ``CREATE`` is already canonical, in a file with no
+index, trigger, view or foreign key that a rebuild would drop or leave
+dangling.  Any other table can only come from a file another tool wrote
+(``Database.attach``); it keeps the ``ALTER TABLE`` statement, and sqlite
+carries its keys, constraints, indexes and views along.
+
+A table rebuilt by a column migration keeps its place in the in-process
+mirror (``tables`` order; a renamed table moves last there, as on the
+memory backend), but the file now lists it last: a reopened file orders
+tables by ``sqlite_master``, where the rebuild's ``CREATE`` is newest.
 
 Row parity with the memory backend (what the parity suite asserts):
 values round-trip by *declared* column type — booleans come back as
@@ -83,6 +98,15 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
+def _create_sql(table: str, columns) -> str:
+    """The canonical ``CREATE TABLE``: quoted names, ``_KIND_TO_SQL`` types."""
+    defs = ", ".join(
+        f"{_quote(column.name)} {_KIND_TO_SQL.get(column.kind, 'VARCHAR')}"
+        for column in columns
+    )
+    return f"CREATE TABLE {_quote(table)} ({defs})"
+
+
 class SqliteBackend(StorageBackend):
     """Schema + row storage in a sqlite database (file or ``:memory:``)."""
 
@@ -127,49 +151,95 @@ class SqliteBackend(StorageBackend):
         return self._schemas
 
     def create_table(self, table, columns) -> None:
-        defs = ", ".join(
-            f"{_quote(column.name)} {_KIND_TO_SQL.get(column.kind, 'VARCHAR')}"
-            for column in columns
-        )
         with span("db.sqlite.ddl", label=f"create_table {table}"):
-            self.conn.execute(f"CREATE TABLE {_quote(table)} ({defs})")
+            self.conn.execute(_create_sql(table, columns))
             self.conn.commit()
         self._refresh(table)
 
     def drop_table(self, table) -> None:
-        self.conn.execute(f"DROP TABLE IF EXISTS {_quote(table)}")
-        self.conn.commit()
+        with span("db.sqlite.ddl", label=f"drop_table {table}"):
+            self.conn.execute(f"DROP TABLE IF EXISTS {_quote(table)}")
+            self.conn.commit()
         self._schemas.pop(table, None)
 
     def rename_table(self, table, new_name) -> None:
-        self.conn.execute(
-            f"ALTER TABLE {_quote(table)} RENAME TO {_quote(new_name)}")
-        self.conn.commit()
+        columns = self._schemas[table].columns
+        self._migrate(table, new_name, list(columns.items()),
+                      f"RENAME TO {_quote(new_name)}")
         self._schemas.pop(table, None)
         self._refresh(new_name)
 
     def add_column(self, table, column) -> None:
+        columns = self._schemas[table].columns
         declared = _KIND_TO_SQL.get(column.kind, "VARCHAR")
-        self.conn.execute(
-            f"ALTER TABLE {_quote(table)} "
-            f"ADD COLUMN {_quote(column.name)} {declared}")
-        self.conn.commit()
+        self._migrate(table, table, [*columns.items(), (None, column)],
+                      f"ADD COLUMN {_quote(column.name)} {declared}")
         self._refresh(table)
 
     def drop_column(self, table, column) -> None:
-        if column not in self._schemas[table].columns:
+        columns = self._schemas[table].columns
+        if column not in columns:
             return
-        self.conn.execute(
-            f"ALTER TABLE {_quote(table)} DROP COLUMN {_quote(column)}")
-        self.conn.commit()
+        self._migrate(table, table, [(name, kept)
+                                     for name, kept in columns.items()
+                                     if name != column],
+                      f"DROP COLUMN {_quote(column)}")
         self._refresh(table)
 
     def rename_column(self, table, column, new_name) -> None:
-        self.conn.execute(
-            f"ALTER TABLE {_quote(table)} "
+        from repro.db.schema import Column
+
+        columns = self._schemas[table].columns
+        self._migrate(table, table, [
+            (name, Column(new_name, kept.kind) if name == column else kept)
+            for name, kept in columns.items()],
             f"RENAME COLUMN {_quote(column)} TO {_quote(new_name)}")
-        self.conn.commit()
         self._refresh(table)
+
+    def _migrate(self, table, new_name, columns, alter: str) -> None:
+        """Give ``table`` the name ``new_name`` and the ``columns`` — pairs
+        of (old column that fills it or None, new ``Column``) — by
+        rebuilding it when that is lossless, else by ``ALTER TABLE``."""
+        with span("db.sqlite.ddl", label=f"{table} {alter}"):
+            if self._rebuildable(table):
+                self._rebuild(table, new_name, columns)
+            else:
+                self.conn.execute(f"ALTER TABLE {_quote(table)} {alter}")
+                self.conn.commit()
+
+    def _rebuildable(self, table) -> bool:
+        """True when ``table``'s stored ``CREATE`` is the canonical one
+        and nothing else in the file (index, trigger, view, a foreign key
+        naming some table) would be lost or left dangling by a rebuild."""
+        canonical = _create_sql(table, self._schemas[table].columns.values())
+        blockers = self.conn.execute(
+            "SELECT COUNT(*) FROM sqlite_master WHERE sql IS NOT NULL AND "
+            "(type != 'table' OR sql LIKE '%REFERENCES%' "
+            "OR (name = ? AND sql != ?))", (table, canonical)).fetchone()[0]
+        return blockers == 0
+
+    def _rebuild(self, table, new_name, columns) -> None:
+        """Copy ``table``'s rows, rowids included, into a fresh canonical
+        table; one transaction, rolled back on any exception."""
+        copied = [(source, column.name) for source, column in columns
+                  if source is not None]
+        sources = "".join(f", {_quote(source)}" for source, _ in copied)
+        targets = "".join(f", {_quote(target)}" for _, target in copied)
+        placeholders = ", ?" * len(copied)
+        self.conn.execute("BEGIN")
+        try:
+            rows = self.conn.execute(
+                f"SELECT rowid{sources} FROM {_quote(table)}").fetchall()
+            self.conn.execute(f"DROP TABLE {_quote(table)}")
+            self.conn.execute(
+                _create_sql(new_name, [column for _, column in columns]))
+            self.conn.executemany(
+                f"INSERT INTO {_quote(new_name)} (rowid{targets}) "
+                f"VALUES (?{placeholders})", rows)
+        except BaseException:
+            self.conn.rollback()
+            raise
+        self.conn.commit()
 
     # -- rows --------------------------------------------------------------
     def insert(self, table, row) -> None:

@@ -1,4 +1,5 @@
-"""SqliteBackend specifics: PRAGMA introspection, real DDL, attach()."""
+"""SqliteBackend specifics: PRAGMA introspection, real DDL, table
+rebuilds, attach()."""
 
 import pickle
 import sqlite3
@@ -151,6 +152,157 @@ end
         assert [c for c in reopened.tables["users"].columns] == \
             ["id", "username", "age"]
         assert reopened.all_rows("users") == [{"id": 1, "username": "a"}]
+
+
+#: each migration and the canonical CREATE the table is stored with after it
+MIGRATIONS = {
+    "add_column": (
+        lambda db: db.add_column("users", "age", "integer"),
+        'CREATE TABLE "users" ("id" INTEGER, "username" VARCHAR, '
+        '"staged" BOOLEAN, "age" INTEGER)'),
+    "drop_column": (
+        lambda db: db.drop_column("users", "staged"),
+        'CREATE TABLE "users" ("id" INTEGER, "username" VARCHAR)'),
+    "rename_column": (
+        lambda db: db.rename_column("users", "username", "login"),
+        'CREATE TABLE "users" ("id" INTEGER, "login" VARCHAR, '
+        '"staged" BOOLEAN)'),
+    "rename_table": (
+        lambda db: db.rename_table("users", "accounts"),
+        'CREATE TABLE "accounts" ("id" INTEGER, "username" VARCHAR, '
+        '"staged" BOOLEAN)'),
+}
+
+
+def _users(path=":memory:") -> Database:
+    db = Database(backend="sqlite", path=path)
+    db.create_table("users", username="string", staged="boolean")
+    db.insert("users", {"username": "a", "staged": True})
+    db.insert("users", {"username": "b"})
+    return db
+
+
+def _stored_sql(db: Database) -> dict:
+    return dict(db.backend.conn.execute(
+        "SELECT name, sql FROM sqlite_master ORDER BY rowid").fetchall())
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("migration", sorted(MIGRATIONS))
+    def test_stored_create_stays_canonical(self, migration):
+        migrate, expected = MIGRATIONS[migration]
+        db = _users()
+        migrate(db)
+        assert list(_stored_sql(db).values()) == [expected]
+
+    def test_rebuilt_table_keeps_its_mirror_place_not_its_file_place(
+            self, tmp_path):
+        path = str(tmp_path / "order.db")
+        db = Database(backend="sqlite", path=path)
+        for table in ("a", "b", "c"):
+            db.create_table(table, name="string")
+        db.rename_column("a", "name", "title")
+        assert list(db.tables) == ["a", "b", "c"]
+        db.backend.close()
+        # a reopened file lists tables in sqlite_master order
+        assert list(Database.attach(path).tables) == ["b", "c", "a"]
+
+    @pytest.mark.parametrize("migration", sorted(MIGRATIONS))
+    def test_a_failed_rebuild_leaves_nothing_behind(self, migration):
+        migrate, _expected = MIGRATIONS[migration]
+
+        def state(db):
+            return (_stored_sql(db), db.all_rows("users"),
+                    {name: [(c.name, c.kind) for c in schema.columns.values()]
+                     for name, schema in db.tables.items()},
+                    db.version, len(db.journal))
+
+        db = _users()
+        before = state(db)
+        conn = db.backend.conn
+        db.backend.conn = _FailingCreate(conn)
+        with pytest.raises(sqlite3.OperationalError, match="injected"):
+            migrate(db)
+        db.backend.conn = conn
+        assert not conn.in_transaction
+        assert state(db) == before
+        migrate(db)  # and the same migration still goes through
+        assert db.version == before[3] + 1
+
+    def test_a_column_named_rowid_keeps_the_rows(self):
+        db = Database(backend="sqlite")
+        db.create_table("users", username="string", rowid="string")
+        db.insert("users", {"username": "a", "rowid": "r1"})
+        db.rename_column("users", "username", "login")
+        db.rename_table("users", "accounts")
+        assert db.all_rows("accounts") == [
+            {"id": 1, "login": "a", "rowid": "r1"}]
+
+
+class _FailingCreate:
+    """A connection whose ``CREATE TABLE`` fails: a rebuild's middle step."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def execute(self, sql, *args):
+        if sql.startswith("CREATE TABLE"):
+            raise sqlite3.OperationalError("injected CREATE failure")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestForeignTables:
+    """A table another tool created keeps ``ALTER TABLE``, so sqlite carries
+    its key, declared types, indexes, views and foreign keys along."""
+
+    def _legacy(self, tmp_path) -> Database:
+        path = str(tmp_path / "legacy.db")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE posts (id INTEGER PRIMARY KEY, "
+                     "title VARCHAR(80), views INT, body TEXT)")
+        conn.execute("CREATE INDEX posts_by_views ON posts (views)")
+        conn.execute("CREATE VIEW popular AS "
+                     "SELECT title FROM posts WHERE views > 5")
+        conn.executemany(
+            "INSERT INTO posts (id, title, views, body) VALUES (?, ?, ?, ?)",
+            [(1, "hello", 10, "x"), (2, "quiet", 1, "y")])
+        conn.commit()
+        conn.close()
+        return Database.attach(path)
+
+    def test_key_type_index_and_view_survive(self, tmp_path):
+        db = self._legacy(tmp_path)
+        db.rename_column("posts", "title", "headline")
+        db.drop_column("posts", "body")
+        db.rename_table("posts", "articles")
+        conn = db.backend.conn
+        info = {name: (declared, pk) for (_cid, name, declared, _nn, _d, pk)
+                in conn.execute("PRAGMA table_info(articles)")}
+        assert info == {"id": ("INTEGER", 1), "headline": ("VARCHAR(80)", 0),
+                        "views": ("INT", 0)}
+        assert [row[1] for row in conn.execute(
+            "PRAGMA index_list(articles)")] == ["posts_by_views"]
+        assert conn.execute("SELECT * FROM popular").fetchall() == \
+            [("hello",)]
+        assert db.all_rows("articles") == [
+            {"id": 1, "headline": "hello", "views": 10},
+            {"id": 2, "headline": "quiet", "views": 1}]
+
+    def test_a_foreign_key_follows_a_renamed_canonical_table(self, tmp_path):
+        path = str(tmp_path / "keys.db")
+        _users(path).backend.close()
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE emails (id INTEGER PRIMARY KEY, "
+                     "user_id INTEGER REFERENCES users (id))")
+        conn.commit()
+        conn.close()
+        db = Database.attach(path)
+        db.rename_table("users", "accounts")
+        assert [row[2] for row in db.backend.conn.execute(
+            "PRAGMA foreign_key_list(emails)")] == ["accounts"]
 
 
 class TestWorkerSafety:

@@ -347,6 +347,42 @@ def test_sqlite_backend_costs_at_most_5x_memory():
     assert ratio <= 5.0, f"sqlite checking {ratio:.2f}x memory"
 
 
+def test_sqlite_migrations_do_not_scale_with_schema_size():
+    """A migration rewrites only its own table: the same sequence costs at
+    most 2x on a 240-table sqlite database what it costs on a 10-table one
+    (``ALTER TABLE ... RENAME``/``DROP COLUMN`` re-parse every table)."""
+    def database(tables: int) -> Database:
+        db = Database(backend="sqlite")
+        for index in range(tables):
+            db.create_table(f"t{index}", name="string", flag="boolean",
+                            score="float")
+        for index in range(20):
+            db.insert("t0", {"name": f"n{index}", "flag": index % 2 == 0})
+        return db
+
+    def migrate(tables: int):
+        # a connection serves only the thread that opened it, and _cpu
+        # times on a fresh thread: the first round builds the database,
+        # and the minimum over the rounds leaves it out
+        built = []
+
+        def sequence():
+            if not built:
+                built.append(database(tables))
+            db = built[0]
+            for _ in range(10):
+                db.add_column("t0", "extra", "integer")
+                db.rename_column("t0", "extra", "spare")
+                db.drop_column("t0", "spare")
+                db.rename_table("t0", "moved")
+                db.rename_table("moved", "t0")
+        return sequence
+
+    large, small = _cpu(migrate(240), migrate(10), repeats=5)
+    ratio = large / small
+    assert ratio <= 2.0, f"240 tables cost {ratio:.2f}x 10 tables"
+
+
 def test_comp_types_need_3x_fewer_casts():
     """Comp types remove most of the casts plain RDL needs (§5.3: 37 vs
     176, 4.75x); per-app: ``tests/apps``."""
