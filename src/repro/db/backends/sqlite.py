@@ -14,16 +14,26 @@ Migrations translate to real DDL, one table at a time:
 * ``add_column``, ``drop_column``, ``rename_column`` and ``rename_table``
   → a rebuild of that one table, in one transaction: read its rows with
   their rowids, ``DROP TABLE``, ``CREATE TABLE`` the new shape, insert the
-  rows back under the same rowids.  ``ALTER TABLE ... RENAME/DROP COLUMN``
-  and ``RENAME TO`` would re-parse every ``CREATE`` in the file, so their
-  cost grows with the number of tables; a rebuild's does not.
+  rows back under the same rowids; or the ``ALTER TABLE`` statement.
 
-A rebuild writes the canonical ``CREATE``, so it is lossless only for a
-table whose stored ``CREATE`` is already canonical, in a file with no
-index, trigger, view or foreign key that a rebuild would drop or leave
-dangling.  Any other table can only come from a file another tool wrote
-(``Database.attach``); it keeps the ``ALTER TABLE`` statement, and sqlite
-carries its keys, constraints, indexes and views along.
+The two cost different things.  A rebuild copies every row of its table;
+``ALTER TABLE`` re-parses every ``CREATE`` in the file (``RENAME/DROP
+COLUMN`` and ``RENAME TO`` cost 0.03-0.06 ms per table, ``ADD COLUMN``
+about 0.005 ms), while a rebuild copies a row in about 0.003 ms.  So a
+migration rebuilds a table that holds at most 10 rows per table in the
+file (1 for ``add_column``) and runs ``ALTER TABLE`` on a bigger one: a
+wide schema of small tables, as in ``schema_churn``, rebuilds; a table of
+thousands of rows in a small schema alters.
+
+A rebuild writes the canonical ``CREATE`` and copies the rowid by name,
+so it is also taken only when it is lossless: the table's stored
+``CREATE`` is already canonical, the file holds no index, trigger, view
+or foreign key that a rebuild would drop or leave dangling, and one of
+``rowid``, ``oid`` and ``_rowid_`` is free in both the old and the new
+columns (a column of that name hides sqlite's rowid).  A non-canonical
+table can only come from a file another tool wrote (``Database.attach``);
+sqlite's ``ALTER TABLE`` carries its keys, constraints, indexes and views
+along.
 
 A table rebuilt by a column migration keeps its place in the in-process
 mirror (``tables`` order; a renamed table moves last there, as on the
@@ -64,6 +74,11 @@ _KIND_TO_SQL = {
 
 _SQL_TO_KIND = {sql: kind for kind, sql in _KIND_TO_SQL.items()}
 
+#: rows a rebuild may copy per table in the file before the ``ALTER
+#: TABLE`` statement is cheaper (see the module docstring)
+_REBUILD_ROWS_PER_TABLE = 10
+_REBUILD_ROWS_PER_TABLE_ADD = 1
+
 
 def kind_from_declared(declared: str) -> str:
     """Map a sqlite declared column type back to a repro column kind.
@@ -96,6 +111,15 @@ def kind_from_declared(declared: str) -> str:
 def _quote(identifier: str) -> str:
     """Quote an identifier for DDL/DML (doubling embedded quotes)."""
     return '"' + identifier.replace('"', '""') + '"'
+
+
+def _rowid_name(*column_names) -> str | None:
+    """The first name of sqlite's rowid that no column in ``column_names``
+    hides (a column named ``rowid``, ``oid`` or ``_rowid_``, in any letter
+    case, takes that name over); None when all three are taken."""
+    taken = {name.lower() for names in column_names for name in names}
+    return next((name for name in ("rowid", "oid", "_rowid_")
+                 if name not in taken), None)
 
 
 def _create_sql(table: str, columns) -> str:
@@ -165,7 +189,8 @@ class SqliteBackend(StorageBackend):
     def rename_table(self, table, new_name) -> None:
         columns = self._schemas[table].columns
         self._migrate(table, new_name, list(columns.items()),
-                      f"RENAME TO {_quote(new_name)}")
+                      f"RENAME TO {_quote(new_name)}",
+                      _REBUILD_ROWS_PER_TABLE)
         self._schemas.pop(table, None)
         self._refresh(new_name)
 
@@ -173,7 +198,8 @@ class SqliteBackend(StorageBackend):
         columns = self._schemas[table].columns
         declared = _KIND_TO_SQL.get(column.kind, "VARCHAR")
         self._migrate(table, table, [*columns.items(), (None, column)],
-                      f"ADD COLUMN {_quote(column.name)} {declared}")
+                      f"ADD COLUMN {_quote(column.name)} {declared}",
+                      _REBUILD_ROWS_PER_TABLE_ADD)
         self._refresh(table)
 
     def drop_column(self, table, column) -> None:
@@ -183,7 +209,8 @@ class SqliteBackend(StorageBackend):
         self._migrate(table, table, [(name, kept)
                                      for name, kept in columns.items()
                                      if name != column],
-                      f"DROP COLUMN {_quote(column)}")
+                      f"DROP COLUMN {_quote(column)}",
+                      _REBUILD_ROWS_PER_TABLE)
         self._refresh(table)
 
     def rename_column(self, table, column, new_name) -> None:
@@ -193,19 +220,33 @@ class SqliteBackend(StorageBackend):
         self._migrate(table, table, [
             (name, Column(new_name, kept.kind) if name == column else kept)
             for name, kept in columns.items()],
-            f"RENAME COLUMN {_quote(column)} TO {_quote(new_name)}")
+            f"RENAME COLUMN {_quote(column)} TO {_quote(new_name)}",
+            _REBUILD_ROWS_PER_TABLE)
         self._refresh(table)
 
-    def _migrate(self, table, new_name, columns, alter: str) -> None:
+    def _migrate(self, table, new_name, columns, alter: str,
+                 rows_per_table: int) -> None:
         """Give ``table`` the name ``new_name`` and the ``columns`` — pairs
         of (old column that fills it or None, new ``Column``) — by
-        rebuilding it when that is lossless, else by ``ALTER TABLE``."""
+        rebuilding it when that is lossless and the table holds at most
+        ``rows_per_table`` rows per table in the file, else by the
+        ``alter`` statement."""
+        rowid = _rowid_name(self._schemas[table].columns,
+                            [column.name for _, column in columns])
         with span("db.sqlite.ddl", label=f"{table} {alter}"):
-            if self._rebuildable(table):
-                self._rebuild(table, new_name, columns)
+            if rowid and self._rebuild_pays(table, rows_per_table) and \
+                    self._rebuildable(table):
+                self._rebuild(table, new_name, columns, rowid)
             else:
                 self.conn.execute(f"ALTER TABLE {_quote(table)} {alter}")
                 self.conn.commit()
+
+    def _rebuild_pays(self, table, rows_per_table: int) -> bool:
+        """True when copying ``table``'s rows costs less than re-parsing
+        every table in the file."""
+        rows = self.conn.execute(
+            f"SELECT COUNT(*) FROM {_quote(table)}").fetchone()[0]
+        return rows <= rows_per_table * len(self._schemas)
 
     def _rebuildable(self, table) -> bool:
         """True when ``table``'s stored ``CREATE`` is the canonical one
@@ -218,9 +259,10 @@ class SqliteBackend(StorageBackend):
             "OR (name = ? AND sql != ?))", (table, canonical)).fetchone()[0]
         return blockers == 0
 
-    def _rebuild(self, table, new_name, columns) -> None:
-        """Copy ``table``'s rows, rowids included, into a fresh canonical
-        table; one transaction, rolled back on any exception."""
+    def _rebuild(self, table, new_name, columns, rowid: str) -> None:
+        """Copy ``table``'s rows, rowids (read and written as ``rowid``)
+        included, into a fresh canonical table; one transaction, rolled
+        back on any exception."""
         copied = [(source, column.name) for source, column in columns
                   if source is not None]
         sources = "".join(f", {_quote(source)}" for source, _ in copied)
@@ -229,12 +271,12 @@ class SqliteBackend(StorageBackend):
         self.conn.execute("BEGIN")
         try:
             rows = self.conn.execute(
-                f"SELECT rowid{sources} FROM {_quote(table)}").fetchall()
+                f"SELECT {rowid}{sources} FROM {_quote(table)}").fetchall()
             self.conn.execute(f"DROP TABLE {_quote(table)}")
             self.conn.execute(
                 _create_sql(new_name, [column for _, column in columns]))
             self.conn.executemany(
-                f"INSERT INTO {_quote(new_name)} (rowid{targets}) "
+                f"INSERT INTO {_quote(new_name)} ({rowid}{targets}) "
                 f"VALUES (?{placeholders})", rows)
         except BaseException:
             self.conn.rollback()
@@ -258,6 +300,11 @@ class SqliteBackend(StorageBackend):
     def all_rows(self, table) -> list[dict]:
         return [row for _rowid, row in self._rows_with_ids(table)]
 
+    def _rowid(self, table) -> str:
+        """The name that reads ``table``'s rowid (a column that takes all
+        three names leaves ``rowid``, which then reads that column)."""
+        return _rowid_name(self._schemas[table].columns) or "rowid"
+
     def _rows_with_ids(self, table) -> list[tuple[int, dict]]:
         """(rowid, row-dict) pairs in insertion order, values converted
         back to Python by declared column kind, NULL columns omitted."""
@@ -268,8 +315,9 @@ class SqliteBackend(StorageBackend):
         if not names:
             return []
         quoted = ", ".join(_quote(name) for name in names)
+        key = self._rowid(table)
         cursor = self.conn.execute(
-            f"SELECT rowid, {quoted} FROM {_quote(table)} ORDER BY rowid")
+            f"SELECT {key}, {quoted} FROM {_quote(table)} ORDER BY {key}")
         out = []
         for fetched in cursor.fetchall():
             rowid, values = fetched[0], fetched[1:]
@@ -296,7 +344,7 @@ class SqliteBackend(StorageBackend):
             placeholders = ", ".join("?" for _ in matching)
             self.conn.execute(
                 f"UPDATE {_quote(table)} SET {assignments} "
-                f"WHERE rowid IN ({placeholders})",
+                f"WHERE {self._rowid(table)} IN ({placeholders})",
                 [*updates.values(), *matching])
             self.conn.commit()
         return len(matching)
@@ -310,7 +358,7 @@ class SqliteBackend(StorageBackend):
             placeholders = ", ".join("?" for _ in matching)
             self.conn.execute(
                 f"DELETE FROM {_quote(table)} "
-                f"WHERE rowid IN ({placeholders})", matching)
+                f"WHERE {self._rowid(table)} IN ({placeholders})", matching)
             self.conn.commit()
         return len(matching)
 

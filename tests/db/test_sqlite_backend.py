@@ -174,12 +174,20 @@ MIGRATIONS = {
 }
 
 
-def _users(path=":memory:") -> Database:
+def _users(path=":memory:", rows=2) -> Database:
+    """``users`` with ``rows`` rows (every second one leaves ``staged``
+    NULL) next to an empty ``tags``.  Two rows are few enough for every
+    migration to rebuild; 40 are enough for each to run ``ALTER TABLE``."""
     db = Database(backend="sqlite", path=path)
     db.create_table("users", username="string", staged="boolean")
-    db.insert("users", {"username": "a", "staged": True})
-    db.insert("users", {"username": "b"})
+    db.create_table("tags", label="string")
+    for index in range(rows):
+        db.insert("users", {"username": f"u{index}", "staged": True}
+                  if index % 2 == 0 else {"username": f"u{index}"})
     return db
+
+
+TAGS_SQL = 'CREATE TABLE "tags" ("id" INTEGER, "label" VARCHAR)'
 
 
 def _stored_sql(db: Database) -> dict:
@@ -187,13 +195,44 @@ def _stored_sql(db: Database) -> dict:
         "SELECT name, sql FROM sqlite_master ORDER BY rowid").fetchall())
 
 
+class _Proxy:
+    """A connection that records every ``execute``d statement and raises
+    on the one that starts with ``fail`` (a rebuild's middle step)."""
+
+    def __init__(self, conn, fail=None):
+        self._conn = conn
+        self._fail = fail
+        self.statements = []
+
+    def execute(self, sql, *args):
+        self.statements.append(sql)
+        if self._fail and sql.startswith(self._fail):
+            raise sqlite3.OperationalError(f"injected {self._fail} failure")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 class TestRebuild:
+    @pytest.mark.parametrize("rows, statement",
+                             [(2, "CREATE TABLE"), (40, "ALTER TABLE")])
     @pytest.mark.parametrize("migration", sorted(MIGRATIONS))
-    def test_stored_create_stays_canonical(self, migration):
+    def test_stored_create_stays_canonical(self, migration, rows, statement):
+        # a small table is rebuilt, a big one altered: both stay canonical
         migrate, expected = MIGRATIONS[migration]
-        db = _users()
+        db = _users(rows=rows)
+        conn = db.backend.conn
+        db.backend.conn = proxy = _Proxy(conn)
         migrate(db)
-        assert list(_stored_sql(db).values()) == [expected]
+        db.backend.conn = conn
+        kinds = [" ".join(sql.split()[:2]) for sql in proxy.statements]
+        assert [kind for kind in kinds
+                if kind in ("CREATE TABLE", "ALTER TABLE")] == [statement]
+        stored = _stored_sql(db)
+        assert stored.pop("tags") == TAGS_SQL
+        assert list(stored.values()) == [expected]
+        assert len(db.all_rows(expected.split('"')[1])) == rows
 
     def test_rebuilt_table_keeps_its_mirror_place_not_its_file_place(
             self, tmp_path):
@@ -220,7 +259,7 @@ class TestRebuild:
         db = _users()
         before = state(db)
         conn = db.backend.conn
-        db.backend.conn = _FailingCreate(conn)
+        db.backend.conn = _Proxy(conn, fail="CREATE TABLE")
         with pytest.raises(sqlite3.OperationalError, match="injected"):
             migrate(db)
         db.backend.conn = conn
@@ -229,29 +268,27 @@ class TestRebuild:
         migrate(db)  # and the same migration still goes through
         assert db.version == before[3] + 1
 
-    def test_a_column_named_rowid_keeps_the_rows(self):
-        db = Database(backend="sqlite")
-        db.create_table("users", username="string", rowid="string")
-        db.insert("users", {"username": "a", "rowid": "r1"})
-        db.rename_column("users", "username", "login")
-        db.rename_table("users", "accounts")
-        assert db.all_rows("accounts") == [
-            {"id": 1, "login": "a", "rowid": "r1"}]
+    def test_rowids_survive_a_column_named_rowid(self):
+        # such a column hides sqlite's rowid under that name; the rebuild
+        # copies the real rowids under a name no old or new column takes
+        db = _users(rows=3)
+        db.delete_rows("users", lambda r: r.get("username") == "u1")
 
+        def rowids():
+            return [row[0] for row in db.backend.conn.execute(
+                "SELECT _rowid_ FROM users ORDER BY _rowid_")]
 
-class _FailingCreate:
-    """A connection whose ``CREATE TABLE`` fails: a rebuild's middle step."""
-
-    def __init__(self, conn):
-        self._conn = conn
-
-    def execute(self, sql, *args):
-        if sql.startswith("CREATE TABLE"):
-            raise sqlite3.OperationalError("injected CREATE failure")
-        return self._conn.execute(sql, *args)
-
-    def __getattr__(self, name):
-        return getattr(self._conn, name)
+        assert rowids() == [1, 3]
+        db.add_column("users", "rowid", "integer")
+        db.update_rows("users", lambda r: True, {"rowid": 7})
+        db.rename_column("users", "username", "oid")
+        assert rowids() == [1, 3]
+        db.drop_column("users", "rowid")
+        db.rename_column("users", "oid", "username")
+        assert rowids() == [1, 3]
+        assert db.all_rows("users") == [
+            {"id": 1, "username": "u0", "staged": True},
+            {"id": 3, "username": "u2", "staged": True}]
 
 
 class TestForeignTables:
