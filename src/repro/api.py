@@ -254,8 +254,9 @@ class CompRDL:
 
         A primed fleet (``engine.prime(labels)``) holds pristine replicas
         in its workers' warm catalogs, so the first session attach
-        adopts them instead of rebuilding — the shared-catalog path that
-        collapses warm-setup cost.  The adopting universe does NOT own the
+        borrows them instead of rebuilding — the shared-catalog path that
+        collapses warm-setup cost — and the session's detach lends back
+        every replica that is still pristine.  The adopting universe does NOT own the
         engine: ``shutdown_warm()`` releases the reference without closing
         it, and the caller remains responsible for ``engine.close()``.
         """

@@ -110,8 +110,10 @@ class CompEngine:
         termination check, raises, or does not produce a type.
 
         Successful evaluations are memoized; a hit replays the entry's
-        table footprint into the active dependency scope so incremental
-        invalidation stays sound even when evaluation is skipped.
+        footprint (tables, columns, nested comps) into the active
+        dependency scope, so incremental invalidation stays sound and a
+        method's recorded dependencies are the same whether or not
+        evaluation was skipped.
         """
         generation = self.generation
         self.deps.note_comp(comp.code)
@@ -122,7 +124,8 @@ class CompEngine:
             # perf budget guards, so disabled runs must not even call span()
             if _OBS_ON[0]:
                 bump("comp.eval.hits")
-            self.deps.note_tables(entry.tables)
+            self.deps.note_footprint(entry.tables, entry.columns,
+                                     entry.comps)
             return _fresh(entry.value)
 
         # a miss pays a parse and/or an interpreter run (~hundreds of µs),
@@ -161,7 +164,8 @@ class CompEngine:
                     raise self._comp_error(
                         f"comp type did not evaluate to a type "
                         f"(got {result!r})", line, context, code=comp.code)
-            self.cache.store(comp.code, bkey, generation, scope.tables, value)
+            self.cache.store(comp.code, bkey, generation, scope.tables, value,
+                             scope.columns, scope.comps)
         # the first caller must not alias the cache entry either: weak
         # updates widen types in place, which would pollute later hits
         return _fresh(value)

@@ -30,7 +30,9 @@ so it is also taken only when it is lossless: the table's stored
 ``CREATE`` is already canonical, the file holds no index, trigger, view
 or foreign key that a rebuild would drop or leave dangling, and one of
 ``rowid``, ``oid`` and ``_rowid_`` is free in both the old and the new
-columns (a column of that name hides sqlite's rowid).  A non-canonical
+columns (a column of that name hides sqlite's rowid; ``Database`` refuses
+a table that takes all three, so rows are always addressed by the real
+rowid).  A non-canonical
 table can only come from a file another tool wrote (``Database.attach``);
 sqlite's ``ALTER TABLE`` carries its keys, constraints, indexes and views
 along.
@@ -301,9 +303,9 @@ class SqliteBackend(StorageBackend):
         return [row for _rowid, row in self._rows_with_ids(table)]
 
     def _rowid(self, table) -> str:
-        """The name that reads ``table``'s rowid (a column that takes all
-        three names leaves ``rowid``, which then reads that column)."""
-        return _rowid_name(self._schemas[table].columns) or "rowid"
+        """The name that reads ``table``'s rowid (``Database`` refuses a
+        table whose columns take all three)."""
+        return _rowid_name(self._schemas[table].columns)
 
     def _rows_with_ids(self, table) -> list[tuple[int, dict]]:
         """(rowid, row-dict) pairs in insertion order, values converted

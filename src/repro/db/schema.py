@@ -83,6 +83,20 @@ class InvalidRowIdError(TypeError):
         self.value = value
 
 
+#: the names that read sqlite's rowid; a column of one of these names (in
+#: any letter case) hides the rowid under that name
+_ROWID_NAMES = frozenset({"rowid", "oid", "_rowid_"})
+
+
+def _check_rowid_reachable(table: str, column_names) -> None:
+    """Refuse a table whose columns take all of ``_ROWID_NAMES``, on every
+    backend alike: sqlite would have no name left to address its rows."""
+    if _ROWID_NAMES <= {name.lower() for name in column_names}:
+        raise ValueError(
+            f"table {table!r} cannot have columns named rowid, oid and "
+            f"_rowid_ all at once: sqlite could not address its rows")
+
+
 class Database:
     """Schemas plus row storage plus declared associations.
 
@@ -131,6 +145,7 @@ class Database:
         # pre-existing tables (an attached on-disk schema): seed the id
         # counters past whatever rows are already there
         for name, schema in self.backend.tables.items():
+            _check_rowid_reachable(name, schema.columns)
             if schema.column("id") is not None:
                 highest = max(
                     (row["id"] for row in self.backend.all_rows(name)
@@ -204,6 +219,8 @@ class Database:
         declared = list(declared)
         if not any(column.name == "id" for column in declared):
             declared.insert(0, Column("id", "integer"))
+        _check_rowid_reachable(table_name,
+                               [column.name for column in declared])
         self.backend.create_table(table_name, declared)
         self._next_ids[table_name] = 1
         self._mutated("create_table", table_name,
@@ -256,9 +273,11 @@ class Database:
         if table not in self.backend.tables:
             raise KeyError(
                 f"cannot add column {column!r}: no such table {table!r}")
-        if column in self.backend.tables[table].columns:
+        columns = self.backend.tables[table].columns
+        if column in columns:
             raise KeyError(
                 f"cannot add column {column!r} to {table!r}: column exists")
+        _check_rowid_reachable(table, [*columns, column])
         self.backend.add_column(table, Column(column, kind))
         self._mutated("add_column", table, column, payload=(kind,))
 
@@ -271,6 +290,9 @@ class Database:
             raise KeyError(
                 f"cannot rename {column!r} to {new_name!r}: column exists "
                 f"in table {table!r}")
+        _check_rowid_reachable(
+            table, [name for name in schema.columns if name != column]
+            + [new_name])
         self.backend.rename_column(table, column, new_name)
         self._mutated("rename_column", table, column, detail=new_name)
 

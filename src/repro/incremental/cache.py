@@ -48,6 +48,10 @@ class CacheEntry:
     value: object             # the RType the comp produced
     generation: int           # schema generation the entry is valid at
     tables: frozenset[str]    # tables the evaluation read
+    # the columns and nested comps it read, replayed with the tables on a
+    # hit so a method's footprint is the same warm or cold
+    columns: frozenset[tuple[str, str]] = frozenset()
+    comps: frozenset[str] = frozenset()
 
 
 class CompEvalCache:
@@ -83,9 +87,10 @@ class CompEvalCache:
         return entry
 
     def store(self, code: str, bkey: int, generation: int,
-              tables, value) -> CacheEntry:
+              tables, value, columns=(), comps=()) -> CacheEntry:
         key = (code, bkey)
-        entry = CacheEntry(value, generation, frozenset(tables))
+        entry = CacheEntry(value, generation, frozenset(tables),
+                           frozenset(columns), frozenset(comps))
         self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:

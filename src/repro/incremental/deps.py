@@ -102,9 +102,15 @@ class DependencyTracker:
         if column is not None:
             scope.columns.add((table, column))
 
-    def note_tables(self, tables) -> None:
-        if self._stack and tables:
-            self._stack[-1].tables.update(tables)
+    def note_footprint(self, tables, columns, comps) -> None:
+        """Replay a footprint a :meth:`capture` recorded earlier (a comp
+        cache hit), so a method's dependencies do not depend on whether
+        its comps hit the cache."""
+        if self._stack:
+            scope = self._stack[-1]
+            scope.tables.update(tables)
+            scope.columns.update(columns)
+            scope.comps.update(comps)
 
     def note_comp(self, code: str) -> None:
         if self._stack:

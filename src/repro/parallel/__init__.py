@@ -19,7 +19,8 @@ speaks one protocol (:mod:`repro.parallel.protocol`).
 workers=N)`` are both such rounds — a cold check is an attach with an empty
 delta — and several apps are one round per app.  A universe with no engine
 of that width checks through a fresh one that detaches when the round
-ends; pass a primed engine to ``CompRDL.adopt_warm_engine`` to keep one
+ends, and the workers keep its still-pristine replicas for the next cold
+check of that app; pass a primed engine to ``CompRDL.adopt_warm_engine`` to keep one
 session across rounds.
 """
 

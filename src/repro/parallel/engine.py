@@ -14,8 +14,9 @@ applied — and checks its shard on the caught-up replicas.
 and ``CompRDL.recheck_dirty(workers=N)`` is
 :meth:`~ParallelCheckEngine.recheck_dirty`.  Several apps are several such
 rounds, one per app.  :meth:`~ParallelCheckEngine.prime` prebuilds pristine
-replicas in every worker, so a later attach adopts them instead of
-building.
+replicas in every worker, so a later attach borrows them instead of
+building; a detach returns each replica that is still pristine, so a
+worker builds each app at most once.
 
 A universe whose ``replay_blocker`` is set (a post-build method
 *re*definition — a redefined type-level helper can change any verdict,
@@ -135,9 +136,11 @@ class ParallelCheckEngine:
     # ------------------------------------------------------------------
     def prime(self, labels) -> float:
         """One-time fleet set-up for ``labels``: spin up every worker and
-        pre-build the labels into each worker's pristine replica catalog,
-        so a later session attach adopts them instead of building.  Returns
-        the set-up wall time."""
+        pre-build the labels into each worker's pristine replica catalog
+        (a label already there, primed or returned by a detached session,
+        is not built again), so a later session attach borrows them
+        instead of building; the session's detach lends them back.
+        Returns the set-up wall time."""
         start = time.perf_counter()
         labels = _normalize_labels(labels)
         backend = self.backend or default_backend_name()
@@ -318,8 +321,9 @@ class ParallelCheckEngine:
             return report
 
     def detach(self) -> None:
-        """Drop the attached session: its workers free its replicas and
-        stay up for the next session."""
+        """Drop the attached session: its workers return its still-pristine
+        replicas to their catalogs, free the rest, and stay up for the
+        next session."""
         _broadcast(self._synced, DetachSession(self._session_id),
                    self.deadline_s)
         self._attached_rdl = None

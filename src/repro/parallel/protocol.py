@@ -116,10 +116,13 @@ class AttachUniverse:
     """Build (or rebuild, pristine) live label universes in a worker.
 
     The session lifecycle's cold step: each label's subject app is built
-    from scratch (or adopted from the worker's pristine replica catalog),
+    from scratch (or borrowed from the worker's pristine replica catalog),
     and the universes then *stay alive* in the worker while the journal
     events and load records on later :class:`CheckRequest` messages keep
-    them converged with the engine's universe.  A session attach rides
+    them converged with the engine's universe.  A borrowed replica is lent
+    to this session alone; :class:`DetachSession` returns it to the
+    catalog if it is still pristine (checked, never migrated or loaded
+    into).  A session attach rides
     on a :class:`CheckRequest` (its ``attach`` field); re-attaching an
     existing session id replaces its replicas (crash recovery / journal
     gaps fall back to this).  A ``None`` session id, sent on its own,
@@ -182,7 +185,9 @@ class CheckRequest:
 
 @dataclass(frozen=True)
 class DetachSession:
-    """Drop one session's replicas (the worker process stays up)."""
+    """End one session: its still-pristine replicas go back to the
+    worker's catalog, the rest are dropped (the worker process stays
+    up)."""
 
     session_id: str
 

@@ -17,8 +17,12 @@ ship back together with the dependency footprints the checker recorded, so
 the parent can back-feed its incremental dependency graph.
 
 An ``AttachUniverse`` with session id ``None`` (fleet priming) builds its
-labels into the process's pristine replica catalog instead; a later session
-attach adopts those replicas rather than building its own.
+labels into the process's pristine replica catalog instead.  A session
+attach adopts a cataloged replica rather than building its own: the
+replica is lent to that session alone, and a ``DetachSession`` returns it
+to the catalog while it is still pristine (checked, but never migrated or
+loaded into), so a worker builds each label at most once in its life and
+later cold attaches start from warm comp caches.
 """
 
 from __future__ import annotations
@@ -82,13 +86,14 @@ def _trace_end(reply, mark: tuple | None):
 
 
 # ---------------------------------------------------------------------------
-# pristine replica catalog: priming builds into it, attaches adopt from it
+# pristine replica catalog: priming builds into it, attaches borrow from it
 # ---------------------------------------------------------------------------
 
-#: label universes built pristine by fleet priming, *taken* by session
-#: attaches in this process.  Keyed by (label, backend name): a replica must
-#: never cross storage backends.  Only worker processes
-#: (:func:`session_main`) reach it.
+#: pristine label universes of this process: built by fleet priming or by a
+#: session attach, *lent* to one session at a time by its attach and
+#: returned by its detach while still pristine.  Keyed by (label, backend
+#: name): a replica must never cross storage backends.  Only worker
+#: processes (:func:`session_main`) reach it.
 _WARM_CATALOG: dict[tuple, object] = {}
 
 
@@ -121,11 +126,22 @@ def _catalog_peek(label: str, backend: str | None):
 
 def _catalog_take(label: str, backend: str | None):
     """Remove and return a cataloged pristine replica (session attaches
-    mutate their replicas via deltas, so adoption is exclusive)."""
+    mutate their replicas via deltas, so a loan is exclusive until
+    :func:`_catalog_return`)."""
     rdl = _catalog_peek(label, backend)
     if rdl is not None:
         del _WARM_CATALOG[_catalog_key(label, backend)]
     return rdl
+
+
+def _catalog_return(replicas: dict) -> None:
+    """Put a detached session's replicas back into their empty catalog
+    slots, each under its own backend's key; a replica that is no longer
+    pristine (migrated, loaded into, replay-blocked) is dropped."""
+    for label, rdl in replicas.items():
+        key = _catalog_key(label, rdl.db.backend_name)
+        if key not in _WARM_CATALOG and _catalog_reusable(rdl):
+            _WARM_CATALOG[key] = rdl
 
 
 def _catalog_build(label: str, backend: str | None):
@@ -189,7 +205,7 @@ def _serve(sessions: dict, message):
     if isinstance(message, CheckRequest):
         return _check(sessions, message)
     if isinstance(message, DetachSession):
-        sessions.pop(message.session_id, None)
+        _catalog_return(sessions.pop(message.session_id, None) or {})
         return DetachAck(session_id=message.session_id)
     raise TypeError(f"unknown session message {type(message).__name__}")
 
@@ -212,10 +228,10 @@ def _attach_replicas(sessions: dict, message: AttachUniverse) -> AttachAck:
             if message.session_id is None:
                 rdl = _catalog_build(label, message.backend)
             else:
-                # adopt a cataloged pristine replica when one exists (built
-                # by an earlier prebuild in this process) — the ack still
-                # reports its generation, so the engine's pristine
-                # assertion guards the reuse like a fresh build
+                # borrow a cataloged pristine replica when one exists
+                # (primed, or returned by an earlier session's detach) —
+                # the ack still reports its generation, so the engine's
+                # pristine assertion guards the reuse like a fresh build
                 rdl = _catalog_take(label, message.backend)
                 if rdl is None:
                     rdl = app_for_label(label).build(backend=message.backend)

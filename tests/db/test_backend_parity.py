@@ -119,6 +119,36 @@ class TestStorageParity:
         staged = [row.get("staged") for row in sqlite.all_rows("users")]
         assert all(isinstance(s, bool) for s in staged if s is not None)
 
+    def test_rows_are_addressed_alike_when_columns_hide_rowids(self):
+        # columns named rowid and oid hide sqlite's rowid under those
+        # names; a column set that takes _rowid_ too would leave sqlite no
+        # name to address a row by, so both backends refuse it alike
+        outcomes = []
+        for backend in ("memory", "sqlite"):
+            db = Database(backend=backend)
+            db.create_table("t", label="string", rowid="integer",
+                            oid="integer")
+            db.insert("t", {"label": "a", "rowid": 2})
+            db.insert("t", {"label": "b", "rowid": 2})
+            updated = db.update_rows("t", lambda r: r.get("id") == 2,
+                                     {"oid": 9})
+            errors = []
+            for refused in (
+                    lambda: db.add_column("t", "_ROWID_", "integer"),
+                    lambda: db.rename_column("t", "label", "_rowid_"),
+                    lambda: db.create_table("u", ROWID="integer",
+                                            oid="string",
+                                            _rowid_="string")):
+                with pytest.raises(ValueError) as raised:
+                    refused()
+                errors.append(str(raised.value))
+            deleted = db.delete_rows("t", lambda r: r.get("id") == 1)
+            outcomes.append((updated, deleted, errors, db.version,
+                             _schema_key(db), db.all_rows("t")))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][-1] == [{"id": 2, "label": "b", "rowid": 2,
+                                    "oid": 9}]
+
     def test_clear_unknown_table_is_a_noop_on_both(self):
         for backend in ("memory", "sqlite"):
             db = Database(backend=backend)

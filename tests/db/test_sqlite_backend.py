@@ -111,6 +111,17 @@ class TestAttach:
         # the id counter continues past the attached data
         assert db.insert("posts", {"title": "next"})["id"] == 2
 
+    def test_attach_refuses_a_table_that_hides_every_rowid_name(
+            self, tmp_path):
+        path = str(tmp_path / "hidden.db")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (rowid INTEGER, oid INTEGER, "
+                     "_rowid_ INTEGER)")
+        conn.commit()
+        conn.close()
+        with pytest.raises(ValueError, match="could not address its rows"):
+            Database.attach(path)
+
     def test_checking_against_an_attached_schema(self, tmp_path):
         path = str(tmp_path / "app.db")
         conn = sqlite3.connect(path)

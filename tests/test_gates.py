@@ -461,14 +461,16 @@ def test_warm_rounds_beat_the_cold_fleet():
     cold = warm = 0.0
     seeded = unseeded = 0.0
     # every engine of one width runs on the process's one pool, so one
-    # engine serves every side: its workers stay up across the apps, and
-    # a primed app waits in their catalogs until a session adopts it
+    # engine serves every side, and a primed app waits in the workers'
+    # catalogs until a session adopts it.  Both setups run on a freshly
+    # started pool: a detach returns checked replicas to the catalogs
     fleet = ParallelCheckEngine(workers=WORKERS, backend=GATE_BACKEND)
     with fleet, _gc_paused():
-        fleet.prime([])  # start the workers, build nothing
         for app, table in _apps_with_tables():
             gc.collect()  # between apps, outside the measured rounds
-            # no worker holds this app yet: the first warm round builds
+            fleet.close()
+            fleet.prime([])  # start the workers, build nothing
+            # no worker holds this app: the first warm round builds
             rdl, setup = _first_warm_round(fleet, app, table)
             rdl.shutdown_warm()
             unseeded += setup
@@ -489,8 +491,10 @@ def test_warm_rounds_beat_the_cold_fleet():
                 rounds.append(_critical_path(fleet.last_warm_run))
             rdl.shutdown_warm()
             cold += statistics.fmean(rounds)
-            # the cold session adopted the primed replicas: prime again
-            # so the seeded warm setup below finds them
+            # the cold session's detach returned its checked replicas:
+            # prime a fresh pool, so the seeded warm setup below adopts
+            # never-checked ones
+            fleet.close()
             fleet.prime([app.label])
             rdl, setup = _first_warm_round(fleet, app, table)
             seeded += setup
@@ -533,8 +537,12 @@ def test_fleet_projected_speedup_at_4_workers():
         serial_reports[:] = [app.build().check(app.label) for app in APPS]
 
     def fleet_check():
-        # each attach adopts its app's primed replicas, so every repeat
-        # primes afresh; only the rounds' critical paths are counted
+        # each round adopts never-checked primed replicas: a detach would
+        # return the checked ones to the catalogs, so an unmeasured
+        # recheck first replays an empty load into them (no longer
+        # pristine, they are dropped) and the next repeat primes afresh
+        # on the same, warmed-up workers.  Only the check_all rounds'
+        # critical paths are counted
         fleet.prime(labels)
         reports, critical = [], 0.0
         for app in APPS:
@@ -542,6 +550,9 @@ def test_fleet_projected_speedup_at_4_workers():
             rdl.adopt_warm_engine(fleet)
             reports.append(rdl.check_all(app.label, workers=WORKERS))
             critical += _critical_path(fleet.last_warm_run)
+            rdl.load("")
+            rdl.incremental.mark_all_dirty()
+            rdl.recheck_dirty(workers=WORKERS)
             rdl.shutdown_warm()
         repeats.append((reports, critical))
 
